@@ -1,6 +1,7 @@
 //! Fig. 8: the two §6.3 optimization ablations.
 //!
-//! (a) indexed candidate generation vs the naive per-candidate scan;
+//! (a) candidate coverage by the depth-first walk over the candidate set
+//!     (`CandidateIndex::build`) vs the naive per-candidate scan;
 //! (b) Delta-Judgment marginals vs naive recomputation.
 //! Paper shape: both optimized paths win by one to three orders of
 //! magnitude, growing with L.
@@ -18,10 +19,10 @@ fn bench_candidate_generation(c: &mut Criterion) {
         .sample_size(10)
         .measurement_time(std::time::Duration::from_secs(3));
     for l in [100usize, 200] {
-        group.bench_with_input(BenchmarkId::new("with_optimization", l), &l, |b, &l| {
+        group.bench_with_input(BenchmarkId::new("depth_first_walk", l), &l, |b, &l| {
             b.iter(|| black_box(CandidateIndex::build(&answers, l).unwrap()))
         });
-        group.bench_with_input(BenchmarkId::new("without_optimization", l), &l, |b, &l| {
+        group.bench_with_input(BenchmarkId::new("naive_scan", l), &l, |b, &l| {
             b.iter(|| black_box(CandidateIndex::build_naive(&answers, l).unwrap()))
         });
     }

@@ -7,7 +7,7 @@
 //! workload:
 //!
 //! * **candidate build** — naive per-candidate scan (Fig. 8(a) ablation)
-//!   vs the inverted sequential build vs the sharded parallel build;
+//!   vs the depth-first coverage walk of `CandidateIndex::build`;
 //! * **greedy marginals** — per-tuple `marginal_naive` probes vs the fused
 //!   word-level `marginal_fused` kernels over the dense (bitset-backed)
 //!   candidates — the class where the two paths differ; sparse candidates
@@ -821,15 +821,10 @@ fn main() {
         // Same min-of-N protection as the optimized arms, so scheduler
         // noise cannot inflate the naive side of the speedup ratio.
         let naive_ms = time_best_ms(3, || CandidateIndex::build_naive(&answers, wl.l).unwrap());
-        let seq_ms = time_best_ms(3, || {
-            CandidateIndex::build_sequential(&answers, wl.l).unwrap()
-        });
-        let par_ms = time_best_ms(3, || {
-            CandidateIndex::build_parallel(&answers, wl.l, threads).unwrap()
-        });
+        let build_ms = time_best_ms(3, || CandidateIndex::build(&answers, wl.l).unwrap());
         let index = CandidateIndex::build(&answers, wl.l).expect("candidate index");
         eprintln!(
-            "  build: naive {naive_ms:.1} ms, sequential {seq_ms:.1} ms, parallel {par_ms:.1} ms ({} candidates)",
+            "  build: naive {naive_ms:.1} ms, walk {build_ms:.1} ms ({} candidates)",
             index.len()
         );
 
@@ -931,11 +926,8 @@ fn main() {
       "m": {m}, "n": {n}, "l": {l}, "k": {k}, "candidates": {cands},
       "candidate_build": {{
         "naive_scan_ms": {naive_ms:.3},
-        "sequential_ms": {seq_ms:.3},
-        "parallel_ms": {par_ms:.3},
-        "parallel_threads": {threads},
-        "indexed_speedup_vs_naive": {idx_speedup:.2},
-        "parallel_speedup_vs_sequential": {par_speedup:.2}
+        "build_ms": {build_ms:.3},
+        "indexed_speedup_vs_naive": {idx_speedup:.2}
       }},
       "greedy_marginals": {{
         "dense_candidates": {dense_cands},
@@ -957,8 +949,7 @@ fn main() {
             l = wl.l,
             k = wl.k,
             cands = index.len(),
-            idx_speedup = naive_ms / seq_ms,
-            par_speedup = seq_ms / par_ms,
+            idx_speedup = naive_ms / build_ms,
             dense_cands = dense_ids.len(),
             states = state_sections.join(",\n"),
             delta_speedup = run_naive_ms / run_delta_ms,

@@ -473,14 +473,14 @@ fn fig8() {
     header("fig8", "optimization ablations (N=2087, m=8, k=20, D=2)");
     let answers = synthetic_answers(2087, 8, 7).expect("workload");
 
-    println!("-- (a) initialization: indexed candidate generation vs naive scan --");
+    println!("-- (a) initialization: depth-first coverage walk vs naive scan --");
     println!(
         "{:<8} {:>16} {:>16} {:>10}",
-        "L", "with opt (ms)", "without opt (ms)", "speedup"
+        "L", "walk (ms)", "naive scan (ms)", "speedup"
     );
     for l in [200usize, 500, 1000] {
         let t = Instant::now();
-        let fast = CandidateIndex::build(&answers, l).expect("indexed");
+        let fast = CandidateIndex::build(&answers, l).expect("walk build");
         let fast_ms = ms(t);
         let t = Instant::now();
         let slow = CandidateIndex::build_naive(&answers, l).expect("naive");

@@ -8,14 +8,15 @@
 //! itself such an ancestor — so one eager pass suffices for a whole run, and
 //! for *all* `(k, D)` combinations during precomputation (§6.2).
 //!
-//! The coverage mapping is built in the "inverted" direction the paper
-//! describes: every tuple of `S` probes its own `2^m` generalizations into
-//! the candidate map, instead of every candidate scanning all of `S`. The
-//! naive scan is retained as [`CandidateIndex::build_naive`] for the
-//! Fig. 8(a) ablation (paper: 100×–1000× slower).
+//! The set is also closed under generalization, so [`CandidateIndex::build`]
+//! derives each candidate's coverage from its parent's, one attribute at a
+//! time (as Smart Drill-Down refines a rule), in one depth-first walk. The
+//! naive per-candidate scan, [`CandidateIndex::build_naive`], is the
+//! Fig. 8(a) ablation's slow arm (paper: 100×–1000× slower) and the walk's
+//! test oracle.
 
 use crate::answers::{AnswerSet, TupleId};
-use crate::pattern::Pattern;
+use crate::pattern::{Pattern, STAR};
 use qagview_common::{FixedBitSet, FxHashMap, QagError, Result};
 
 /// Dense identifier of a candidate cluster inside a [`CandidateIndex`].
@@ -71,106 +72,91 @@ pub struct CandidateIndex {
     infos: Vec<CandidateInfo>,
 }
 
-/// Below this relation size the sharded parallel build is all overhead.
-const PARALLEL_BUILD_MIN_TUPLES: usize = 8 * 1024;
-
 impl CandidateIndex {
-    /// Build with the §6.3 optimization (default path): inverted mapping,
-    /// sharded across threads for large relations.
+    /// Build with the §6.3 optimization (default path): a single-threaded,
+    /// depth-first walk over the candidate set.
+    ///
+    /// One pass over `S` collects the ascending tuple ids of every
+    /// `(attribute, code)` posting, plus a bitset for postings that are
+    /// dense by the [`DENSE_COVERAGE_DIVISOR`] rule. The all-`∗` root covers
+    /// `0..n`; every other candidate follows its parent, itself with its last
+    /// fixed attribute `a = c` starred, and keeps the parent's tuples with
+    /// `c` at `a`:
+    ///
+    /// * dense parent and posting: the AND of their bitsets, which a dense
+    ///   child keeps as its `cov_bits`;
+    /// * dense parent, sparse posting: the posting ids set in the parent;
+    /// * sparse parent: the parent ids holding `c` at `a`.
+    ///
+    /// Only the AND can yield a dense child. Sums accumulate over ascending
+    /// ids from `0.0`, so coverage, sums (to the f64 bit) and `cov_bits` are
+    /// identical to [`CandidateIndex::build_naive`].
     ///
     /// # Errors
     ///
     /// * [`QagError::InvalidParameter`] if `l` is zero or exceeds `n`, or if
     ///   `m` is too large for eager enumeration.
     pub fn build(answers: &AnswerSet, l: usize) -> Result<Self> {
-        let threads = available_threads();
-        if answers.len() >= PARALLEL_BUILD_MIN_TUPLES && threads > 1 {
-            Self::build_parallel(answers, l, threads)
-        } else {
-            Self::build_sequential(answers, l)
-        }
-    }
-
-    /// Build with the §6.3 optimization on a single thread.
-    ///
-    /// Each tuple probes its own `2^m` generalizations into the candidate
-    /// map (the "inverted" direction); probes use the tuple's scratch slot
-    /// buffer directly, with no per-probe allocation.
-    pub fn build_sequential(answers: &AnswerSet, l: usize) -> Result<Self> {
         let mut index = Self::generate_candidates(answers, l)?;
-        // Disjoint field borrows: probe `map` while mutating `infos`.
-        let map = &index.map;
-        let infos = &mut index.infos;
-        for (t, codes, v) in answers.iter() {
-            Pattern::for_each_generalization(codes, |slots| {
-                if let Some(&id) = map.get(slots) {
-                    let info = &mut infos[id as usize];
-                    info.cov.push(t);
-                    info.sum += v;
+        let (m, n) = (index.m, index.n);
+        let mut ids: Vec<Vec<Vec<TupleId>>> = (0..m)
+            .map(|a| vec![Vec::new(); answers.domain_size(a)])
+            .collect();
+        for (t, codes, _) in answers.iter() {
+            for (a, &c) in codes.iter().enumerate() {
+                ids[a][c as usize].push(t);
+            }
+        }
+        let postings: Vec<Vec<_>> = ids
+            .into_iter()
+            .map(|per_code| {
+                per_code
+                    .into_iter()
+                    .map(|ids| (dense_bits(n, &ids), ids))
+                    .collect()
+            })
+            .collect();
+        // Pattern order puts ∗ after every code, so its reverse lists each
+        // candidate before its subtree: a depth-first preorder.
+        let mut order: Vec<CandId> = (0..index.infos.len() as CandId).collect();
+        order.sort_unstable_by_key(|&id| std::cmp::Reverse(&index.infos[id as usize].pattern));
+        let (mut slots, mut scratch) = (vec![STAR; m], Vec::new());
+        for id in order {
+            slots.copy_from_slice(index.infos[id as usize].pattern.slots());
+            let (bits, cov) = match slots.iter().rposition(|&s| s != STAR) {
+                None => {
+                    let cov: Vec<TupleId> = (0..n as TupleId).collect();
+                    (dense_bits(n, &cov), cov)
                 }
-            });
-        }
-        index.densify();
-        Ok(index)
-    }
-
-    /// Build with the §6.3 optimization, sharding the tuple scan across
-    /// `threads` worker threads.
-    ///
-    /// Each worker owns a contiguous tuple range and collects per-candidate
-    /// coverage shards; shards are concatenated in range order (so coverage
-    /// lists come out ascending, exactly as in the sequential build) and
-    /// sums are re-accumulated per candidate in ascending-tuple order.
-    /// Results are byte-identical to [`CandidateIndex::build_sequential`] —
-    /// including float sums, because the addition order is preserved.
-    pub fn build_parallel(answers: &AnswerSet, l: usize, threads: usize) -> Result<Self> {
-        let n = answers.len();
-        let threads = threads.clamp(1, n.max(1));
-        if threads == 1 {
-            return Self::build_sequential(answers, l);
-        }
-        let mut index = Self::generate_candidates(answers, l)?;
-        let ncand = index.infos.len();
-        let chunk = n.div_ceil(threads);
-        let map = &index.map;
-        let shards: Vec<Vec<Vec<TupleId>>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|ti| {
-                    let lo = ti * chunk;
-                    let hi = ((ti + 1) * chunk).min(n);
-                    scope.spawn(move || {
-                        let mut cov: Vec<Vec<TupleId>> = vec![Vec::new(); ncand];
-                        for t in lo..hi {
-                            let t = t as TupleId;
-                            Pattern::for_each_generalization(answers.tuple(t), |slots| {
-                                if let Some(&id) = map.get(slots) {
-                                    cov[id as usize].push(t);
-                                }
-                            });
+                Some(a) => {
+                    let c = std::mem::replace(&mut slots[a], STAR) as usize;
+                    let parent = index.info(index.require_slots(&slots)?);
+                    match (&parent.cov_bits, &postings[a][c]) {
+                        (Some(pb), (Some(qb), _)) => {
+                            let words = (pb.as_words().iter().zip(qb.as_words()))
+                                .map(|(x, y)| x & y)
+                                .collect();
+                            let bits = FixedBitSet::from_words(n, words)?;
+                            let mut cov = Vec::with_capacity(bits.count_ones());
+                            cov.extend(bits.iter_ones().map(|t| t as TupleId));
+                            (Some(bits).filter(|_| is_dense(cov.len(), n)), cov)
                         }
-                        cov
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("candidate shard thread panicked"))
-                .collect()
-        });
-        for (c, info) in index.infos.iter_mut().enumerate() {
-            let total: usize = shards.iter().map(|s| s[c].len()).sum();
-            info.cov.reserve_exact(total);
-            for shard in &shards {
-                info.cov.extend_from_slice(&shard[c]);
-            }
-            // Ascending-tuple accumulation, same order as the sequential
-            // build's interleaved pushes.
-            info.sum = 0.0;
-            for &t in &info.cov {
-                info.sum += answers.val(t);
-            }
+                        (Some(pb), (None, ids)) => (
+                            None,
+                            filter_ids(ids, &mut scratch, |t| pb.contains(t as usize)),
+                        ),
+                        (None, _) => {
+                            let keep = |t: TupleId| answers.tuple(t)[a] as usize == c;
+                            (None, filter_ids(&parent.cov, &mut scratch, keep))
+                        }
+                    }
+                }
+            };
+            debug_assert_eq!(bits.is_some(), is_dense(cov.len(), n));
+            let info = &mut index.infos[id as usize];
+            info.sum = cov.iter().fold(0.0, |s, &t| s + answers.val(t));
+            (info.cov, info.cov_bits) = (cov, bits);
         }
-        index.densify();
         Ok(index)
     }
 
@@ -187,22 +173,10 @@ impl CandidateIndex {
                 }
             }
         }
-        index.densify();
-        Ok(index)
-    }
-
-    /// Attach bitset coverage to candidates dense enough to profit from the
-    /// word-level kernels.
-    fn densify(&mut self) {
-        let n = self.n;
-        for info in &mut self.infos {
-            if info.cov.len() * DENSE_COVERAGE_DIVISOR >= n && !info.cov.is_empty() {
-                info.cov_bits = Some(FixedBitSet::from_ids(
-                    n,
-                    info.cov.iter().map(|&t| t as usize),
-                ));
-            }
+        for info in &mut index.infos {
+            info.cov_bits = dense_bits(index.n, &info.cov);
         }
+        Ok(index)
     }
 
     fn generate_candidates(answers: &AnswerSet, l: usize) -> Result<Self> {
@@ -314,18 +288,38 @@ impl CandidateIndex {
     }
 }
 
-/// Worker-thread count for the sharded build (number of available cores).
-fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|t| t.get())
-        .unwrap_or(1)
+/// Collect the ids `keep` accepts, with exact capacity. Every id is stored
+/// and only accepted ones advance the cursor, so an unpredictable `keep`
+/// costs no branch misses.
+fn filter_ids(
+    ids: &[TupleId],
+    scratch: &mut Vec<TupleId>,
+    keep: impl Fn(TupleId) -> bool,
+) -> Vec<TupleId> {
+    scratch.resize(ids.len(), 0);
+    let mut kept = 0;
+    for &t in ids {
+        scratch[kept] = t;
+        kept += usize::from(keep(t));
+    }
+    scratch[..kept].to_vec()
+}
+
+/// The [`DENSE_COVERAGE_DIVISOR`] rule: whether `count` of `n` tuples is
+/// dense enough to carry a bitset.
+fn is_dense(count: usize, n: usize) -> bool {
+    count * DENSE_COVERAGE_DIVISOR >= n && count > 0
+}
+
+/// The bitset of ascending `ids` over `0..n`, if they are dense.
+fn dense_bits(n: usize, ids: &[TupleId]) -> Option<FixedBitSet> {
+    is_dense(ids.len(), n).then(|| FixedBitSet::from_ids(n, ids.iter().map(|&t| t as usize)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::answers::AnswerSetBuilder;
-    use crate::pattern::STAR;
 
     fn sample() -> AnswerSet {
         let mut b = AnswerSetBuilder::new(vec!["a".into(), "b".into(), "c".into()]);
@@ -425,24 +419,22 @@ mod tests {
     }
 
     #[test]
-    fn parallel_build_matches_sequential_exactly() {
+    fn walk_build_matches_naive_exactly() {
         let s = sample();
         for l in 1..=5 {
-            let seq = CandidateIndex::build_sequential(&s, l).unwrap();
-            for threads in [2, 3, 8] {
-                let par = CandidateIndex::build_parallel(&s, l, threads).unwrap();
-                assert_eq!(par.len(), seq.len());
-                for (id, info) in par.iter() {
-                    let sinfo = seq.info(id);
-                    assert_eq!(info.pattern, sinfo.pattern);
-                    assert_eq!(info.cov, sinfo.cov);
-                    assert_eq!(
-                        info.sum.to_bits(),
-                        sinfo.sum.to_bits(),
-                        "sums must be byte-identical"
-                    );
-                    assert_eq!(info.cov_bits, sinfo.cov_bits);
-                }
+            let fast = CandidateIndex::build(&s, l).unwrap();
+            let slow = CandidateIndex::build_naive(&s, l).unwrap();
+            assert_eq!(fast.len(), slow.len());
+            for (id, info) in fast.iter() {
+                let sinfo = slow.info(id);
+                assert_eq!(info.pattern, sinfo.pattern);
+                assert_eq!(info.cov, sinfo.cov);
+                assert_eq!(
+                    info.sum.to_bits(),
+                    sinfo.sum.to_bits(),
+                    "sums must be byte-identical"
+                );
+                assert_eq!(info.cov_bits, sinfo.cov_bits);
             }
         }
     }

@@ -1,41 +1,95 @@
-//! Property tests for the §6.3 candidate index: the optimized inverted
-//! build must be semantically identical to the naive scan, and the index
-//! must be closed under the merge operation on arbitrary relations.
+//! Property tests for the §6.3 candidate index: the depth-first walk of
+//! `CandidateIndex::build` must be bit-identical to the naive scan, and the
+//! index must be closed under the merge operation on arbitrary relations.
 
 use proptest::prelude::*;
-use qagview_lattice::{AnswerSet, AnswerSetBuilder, CandidateIndex, Pattern};
+use qagview_lattice::{AnswerSet, AnswerSetBuilder, CandidateIndex, Pattern, STAR};
+
+/// A relation of `n` distinct tuples over `m` attributes with skewed
+/// domains: each attribute draws from a domain of 1..=8 codes, biased
+/// toward small codes, so coverage counts spread across the dense/sparse
+/// boundary (`n / 64`). A duplicate draw bumps its last code until the
+/// tuple is new. Scores are fractions of both signs, so a sum accumulated
+/// in another order would differ in its low bits.
+fn skewed_answers(m: usize, n: usize, seed: u64) -> AnswerSet {
+    let mut state = seed | 1;
+    let mut next = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as u32
+    };
+    let domains: Vec<u32> = (0..m).map(|_| 1 + next() % 8).collect();
+    let mut builder = AnswerSetBuilder::new((0..m).map(|i| format!("a{i}")).collect());
+    let mut seen = std::collections::HashSet::new();
+    for _ in 0..n {
+        let mut codes: Vec<u32> = domains
+            .iter()
+            .map(|&d| (next() % d).min(next() % d))
+            .collect();
+        while !seen.insert(codes.clone()) {
+            codes[m - 1] += 1;
+        }
+        let texts: Vec<String> = codes.iter().map(|c| format!("v{c}")).collect();
+        let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
+        let val = (f64::from(next() % 100_000) - 50_000.0) / 7.0;
+        builder.push(&refs, val).unwrap();
+    }
+    builder.finish().unwrap()
+}
 
 fn arb_answers() -> impl Strategy<Value = AnswerSet> {
-    (2usize..=4, 5usize..=20, any::<u64>()).prop_map(|(m, n, seed)| {
-        let mut state = seed | 1;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        let mut builder = AnswerSetBuilder::new((0..m).map(|i| format!("a{i}")).collect());
-        let mut seen = std::collections::HashSet::new();
-        let mut added = 0usize;
-        while added < n {
-            let codes: Vec<u32> = (0..m).map(|_| next() % 5).collect();
-            if !seen.insert(codes.clone()) {
-                continue;
+    let n = prop_oneof![Just(63usize), Just(64), Just(65), Just(128), 1usize..=300];
+    (1usize..=8, n, any::<u64>()).prop_map(|(m, n, seed)| skewed_answers(m, n, seed))
+}
+
+/// `build` and `build_naive` agree candidate by candidate: ids, patterns,
+/// coverage lists, sums to the f64 bit, and bitset coverage.
+fn assert_bitwise_naive(answers: &AnswerSet, l: usize) {
+    let fast = CandidateIndex::build(answers, l).unwrap();
+    let slow = CandidateIndex::build_naive(answers, l).unwrap();
+    assert_eq!(fast.len(), slow.len());
+    for (id, info) in fast.iter() {
+        let sinfo = slow.info(id);
+        assert_eq!(info.pattern, sinfo.pattern);
+        assert_eq!(info.cov, sinfo.cov);
+        assert_eq!(info.sum.to_bits(), sinfo.sum.to_bits());
+        assert_eq!(info.cov_bits, sinfo.cov_bits);
+    }
+}
+
+/// At relation sizes around word and density boundaries, some parent in
+/// the walk (a candidate with its last fixed attribute starred) covers
+/// exactly the fewest tuples that count as dense, and the walk still
+/// matches the naive scan.
+#[test]
+fn walk_build_crosses_the_dense_boundary() {
+    for n in [63usize, 64, 65, 128, 300] {
+        let boundary = n.div_ceil(64);
+        let mut hit = false;
+        for seed in 0..8u64 {
+            let answers = skewed_answers(4, n, seed);
+            let l = (n / 2).max(1);
+            assert_bitwise_naive(&answers, l);
+            let index = CandidateIndex::build(&answers, l).unwrap();
+            for (_, info) in index.iter() {
+                let mut slots = info.pattern.slots().to_vec();
+                if let Some(last) = slots.iter().rposition(|&s| s != STAR) {
+                    slots[last] = STAR;
+                    let parent = index.info(index.id_of_slots(&slots).unwrap());
+                    hit |= parent.count() == boundary;
+                }
             }
-            let texts: Vec<String> = codes.iter().map(|c| format!("v{c}")).collect();
-            let refs: Vec<&str> = texts.iter().map(|s| s.as_str()).collect();
-            builder.push(&refs, f64::from(next() % 500) / 10.0).unwrap();
-            added += 1;
         }
-        builder.finish().unwrap()
-    })
+        assert!(hit, "no parent sits on the n={n} dense boundary");
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Indexed and naive builds agree on the candidate set, every coverage
-    /// list, and every sum.
+    /// list, and every sum (to the f64 bit), whatever `L` is.
     #[test]
     fn indexed_build_equals_naive(answers in arb_answers(), l_frac in 0.1f64..=1.0) {
         let l = ((answers.len() as f64 * l_frac) as usize).clamp(1, answers.len());
@@ -46,7 +100,7 @@ proptest! {
             let sid = slow.id_of(&info.pattern).expect("same candidate set");
             let sinfo = slow.info(sid);
             prop_assert_eq!(&info.cov, &sinfo.cov);
-            prop_assert!((info.sum - sinfo.sum).abs() < 1e-9);
+            prop_assert_eq!(info.sum.to_bits(), sinfo.sum.to_bits());
         }
     }
 
@@ -58,26 +112,16 @@ proptest! {
         for (_, info) in index.iter() {
             let (ids, sum) = answers.scan_coverage(&info.pattern);
             prop_assert_eq!(&info.cov, &ids);
-            prop_assert!((info.sum - sum).abs() < 1e-9);
+            prop_assert_eq!(info.sum.to_bits(), sum.to_bits());
         }
     }
 
-    /// The sharded parallel build is byte-identical to the sequential build
-    /// on arbitrary relations and thread counts — coverage lists, bitsets,
-    /// and float sums (compared bit-for-bit).
+    /// The walk build is bit-identical to the naive scan candidate by
+    /// candidate, bitsets included.
     #[test]
-    fn parallel_build_equals_sequential(answers in arb_answers(), threads in 2usize..=8) {
+    fn walk_build_is_bitwise_naive(answers in arb_answers()) {
         let l = (answers.len() / 2).max(1);
-        let seq = CandidateIndex::build_sequential(&answers, l).unwrap();
-        let par = CandidateIndex::build_parallel(&answers, l, threads).unwrap();
-        prop_assert_eq!(par.len(), seq.len());
-        for (id, info) in par.iter() {
-            let sinfo = seq.info(id);
-            prop_assert_eq!(&info.pattern, &sinfo.pattern);
-            prop_assert_eq!(&info.cov, &sinfo.cov);
-            prop_assert_eq!(info.sum.to_bits(), sinfo.sum.to_bits());
-            prop_assert_eq!(&info.cov_bits, &sinfo.cov_bits);
-        }
+        assert_bitwise_naive(&answers, l);
     }
 
     /// The candidate set is closed under LCA for pairs that each cover a
