@@ -385,16 +385,20 @@ fn bench_query_exec(all_ok: &mut bool) -> String {
     )
 }
 
-/// The `store_warm_start` section: what a *fresh process* pays to serve
-/// its first summary from a persisted `.qag` plane store versus building
-/// the same plane set cold from the answer relation.
+/// The `store_warm_start` section: the plane tier of the store alone —
+/// serving a first summary from a persisted `.qag` plane file versus
+/// building the same plane set cold, both from an answer relation already
+/// in memory.
 ///
-/// The cold arm is the full §6.2 initialization a process without a store
-/// must run: candidate-index construction plus every `(k ≤ 50, D ≤ m)`
-/// descent ([`Precomputed::build`]). The warm arm opens the store file
-/// (read + checksum + header/interval/state decode; coverage sections stay
-/// zero-copy in the buffer) and serves `solution(k, d)` — exactly the path
-/// a restarted serving process takes. Before timing anything, every stored
+/// The cold arm is the full §6.2 initialization a process without a plane
+/// file must run: candidate-index construction plus every `(k ≤ 50,
+/// D ≤ m)` descent ([`Precomputed::build`]). The warm arm opens the plane
+/// file (read + checksum + header/interval/state decode; coverage
+/// sections stay zero-copy in the buffer) and serves `solution(k, d)`.
+/// Neither arm includes obtaining the relation (a table scan, or a
+/// relation-file load), so this is not the end-to-end warm start of a
+/// restarted process; perfbench's `warm_start_ms_p50` times that. Before
+/// timing anything, every stored
 /// solution across the whole grid is asserted byte-identical (patterns,
 /// member lists, f64 sum/value bits, guidance plot) between the built and
 /// the loaded plane set.

@@ -9,16 +9,19 @@
 //!
 //! `save` drives the owned exploration engine with
 //! [`ExplorerConfig::store_dir`] pointed at `<dir>`: the paper's Example
-//! 1.1 session opens cold, the engine writes the `.qag` plane store back,
+//! 1.1 session opens cold, the engine writes the answer relation and the
+//! plane set back as `.qag` files,
 //! and a bit-exact digest of everything the user saw (summary, guidance
 //! plot, exploration state — floats hashed by their bit patterns) lands in
 //! `<dir>/summary.digest`.
 //!
 //! `verify` runs in a fresh process: the same session must now warm-start
-//! from the store (asserted via cache provenance), its view must hash to
-//! the digest recorded by process 1, and a third, store-less engine
-//! rebuilding everything cold must agree bit for bit as well. Any mismatch
-//! exits nonzero, failing the CI job.
+//! from the store — the answer relation loaded from its `relation-*.qag`
+//! file with zero group scans, and the plane from its `plane-*.qag` file
+//! (asserted via cache provenance and the engine counters) — its view must
+//! hash to the digest recorded by process 1, and a third, store-less
+//! engine rebuilding everything cold must agree bit for bit as well. Any
+//! mismatch exits nonzero, failing the CI job.
 
 use qagview::datagen::movielens::{self, MovieLensConfig};
 use qagview::prelude::*;
@@ -74,7 +77,9 @@ fn digest(r: &ExploreResponse) -> String {
     format!("{:016x}", h.finish())
 }
 
-fn open_session(store_dir: Option<PathBuf>) -> (Arc<Explorer>, ExploreResponse) {
+/// Open Example 1.1 on a fresh engine; returns the engine and the
+/// responses to the opening `SetQuery` and to the following knob move.
+fn open_session(store_dir: Option<PathBuf>) -> (Arc<Explorer>, ExploreResponse, ExploreResponse) {
     let engine = Arc::new(Explorer::with_config(
         catalog(),
         ExplorerConfig {
@@ -85,25 +90,26 @@ fn open_session(store_dir: Option<PathBuf>) -> (Arc<Explorer>, ExploreResponse) 
     let mut session = engine
         .open_session(SessionSpec::default())
         .expect("open session");
-    session
+    let opened = session
         .apply(ExploreCommand::SetQuery(SQL.into()))
         .expect("open session");
     // One knob move so the digest covers a plane lookup beyond the default.
     let response = session.apply(ExploreCommand::SetK(6)).expect("SetK");
-    (engine, response)
+    (engine, opened, response)
 }
 
 fn save(dir: &Path) -> ExitCode {
     std::fs::create_dir_all(dir).expect("create store dir");
     let t0 = std::time::Instant::now();
-    let (engine, response) = open_session(Some(dir.to_path_buf()));
+    let (engine, _, response) = open_session(Some(dir.to_path_buf()));
     let stats = engine.stats().store;
     assert_eq!(
         response.provenance.plane_store.as_ref(),
         None, // SetK after the cold SetQuery is a memory hit
         "warm knob move must not consult the store"
     );
-    assert_eq!(stats.writes, 1, "exactly one .qag written");
+    assert_eq!(stats.answers.writes, 1, "exactly one relation .qag written");
+    assert_eq!(stats.planes.writes, 1, "exactly one plane .qag written");
     assert_eq!(stats.write_errors, 0, "write-back failed");
     let d = digest(&response);
     std::fs::write(dir.join(DIGEST_FILE), &d).expect("write digest");
@@ -114,7 +120,7 @@ fn save(dir: &Path) -> ExitCode {
         .filter(|n| n.ends_with(".qag"))
         .collect();
     println!(
-        "saved plane store for {} answers in {:?}: {} (digest {d})",
+        "saved relation and plane store for {} answers in {:?}: {} (digest {d})",
         response.summary.total,
         t0.elapsed(),
         qag.join(", ")
@@ -128,12 +134,35 @@ fn verify(dir: &Path) -> ExitCode {
 
     // Process 2, arm 1: warm start from the persisted store.
     let t0 = std::time::Instant::now();
-    let (engine, warm) = open_session(Some(dir.to_path_buf()));
-    let stats = engine.stats().store;
-    if stats.loads != 1 || stats.probe_misses != 0 {
+    let (engine, opened, warm) = open_session(Some(dir.to_path_buf()));
+    let stats = engine.stats();
+    let (answers, planes) = (stats.store.answers, stats.store.planes);
+    if answers.loads != 1 || answers.probe_misses != 0 {
         eprintln!(
-            "FAIL: expected a pure store warm start, saw loads={} probe_misses={}",
-            stats.loads, stats.probe_misses
+            "FAIL: expected the relation from the store, saw loads={} probe_misses={}",
+            answers.loads, answers.probe_misses
+        );
+        return ExitCode::FAILURE;
+    }
+    if planes.loads != 1 || planes.probe_misses != 0 {
+        eprintln!(
+            "FAIL: expected the plane from the store, saw loads={} probe_misses={}",
+            planes.loads, planes.probe_misses
+        );
+        return ExitCode::FAILURE;
+    }
+    // Zero group scans: layer 1 was never even probed, and the opening
+    // command says so.
+    let scans = stats.group_phase.hits + stats.group_phase.misses;
+    if scans != 0
+        || stats.scan != Default::default()
+        || opened.provenance.group_phase != CacheOutcome::Skipped
+        || opened.provenance.answers_store != Some(CacheOutcome::Hit)
+    {
+        eprintln!(
+            "FAIL: the warm start touched the table: {scans} group-phase lookups, \
+             group_phase {:?}, answers_store {:?}",
+            opened.provenance.group_phase, opened.provenance.answers_store
         );
         return ExitCode::FAILURE;
     }
@@ -148,7 +177,7 @@ fn verify(dir: &Path) -> ExitCode {
     }
 
     // Arm 2: a store-less engine rebuilding cold must agree bit for bit.
-    let (_, cold) = open_session(None);
+    let (_, _, cold) = open_session(None);
     if !warm.same_view(&cold) || digest(&cold) != warm_digest {
         eprintln!("FAIL: store-served view diverges from a cold rebuild");
         return ExitCode::FAILURE;

@@ -12,7 +12,8 @@
 //!   return [`QagError::Store`] with [`StoreErrorKind::Truncated`] instead
 //!   of panicking when the input runs out;
 //! * [`checksum64`] — a fast 4-lane 64-bit payload checksum (wide files are
-//!   verified on every open, so throughput matters);
+//!   verified on every open, so throughput matters), and its incremental
+//!   form [`Checksum64`];
 //! * raw word runs ([`Writer::put_u64_slice`] / [`decode_u64_le`]) that,
 //!   paired with [`FixedBitSet::from_words`](crate::FixedBitSet::from_words)
 //!   and [`FixedBitSet::as_words`](crate::FixedBitSet::as_words), move
@@ -263,6 +264,20 @@ pub fn decode_u64_le(bytes: &[u8]) -> Vec<u64> {
         .collect()
 }
 
+const CHECKSUM_K: u64 = 0x517c_c1b7_2722_0a95;
+const CHECKSUM_SEEDS: [u64; 4] = [
+    0x9e37_79b9_7f4a_7c15,
+    0xbf58_476d_1ce4_e5b9,
+    0x94d0_49bb_1331_11eb,
+    0x2545_f491_4f6c_dd1d,
+];
+
+#[inline]
+fn checksum_mix(lane: &mut u64, word: &[u8]) {
+    let w = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+    *lane = (*lane ^ w).rotate_left(23).wrapping_mul(CHECKSUM_K);
+}
+
 /// A fast 64-bit checksum over a byte slice.
 ///
 /// Four independent multiplicative lanes (so the 8-byte chunks don't form
@@ -271,35 +286,90 @@ pub fn decode_u64_le(bytes: &[u8]) -> Vec<u64> {
 /// authenticity check — the store format pairs it with magic/version
 /// fields, and the workspace threat model is "our own files".
 pub fn checksum64(bytes: &[u8]) -> u64 {
-    const K: u64 = 0x517c_c1b7_2722_0a95;
-    const SEEDS: [u64; 4] = [
-        0x9e37_79b9_7f4a_7c15,
-        0xbf58_476d_1ce4_e5b9,
-        0x94d0_49bb_1331_11eb,
-        0x2545_f491_4f6c_dd1d,
-    ];
-    let mut lanes = SEEDS;
-    let mut chunks = bytes.chunks_exact(32);
-    for c in &mut chunks {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let w = u64::from_le_bytes(c[i * 8..i * 8 + 8].try_into().expect("8 bytes"));
-            *lane = (*lane ^ w).rotate_left(23).wrapping_mul(K);
+    let mut c = Checksum64::new();
+    c.update(bytes);
+    c.finish()
+}
+
+/// The incremental form of [`checksum64`]: feeding bytes through any
+/// number of [`Checksum64::update`] calls yields exactly the checksum of
+/// their concatenation. Lets a caller checksum data it never holds as one
+/// byte slice (a table's typed columns, say) without copying it out first.
+#[derive(Debug, Clone)]
+pub struct Checksum64 {
+    lanes: [u64; 4],
+    /// Bytes of a 32-byte block not yet complete.
+    pending: [u8; 32],
+    pending_len: usize,
+    total: u64,
+}
+
+impl Default for Checksum64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Checksum64 {
+    /// A checksum over no bytes yet.
+    pub fn new() -> Self {
+        Checksum64 {
+            lanes: CHECKSUM_SEEDS,
+            pending: [0; 32],
+            pending_len: 0,
+            total: 0,
         }
     }
-    let mut tail = chunks.remainder().to_vec();
-    if !tail.is_empty() {
-        tail.resize(tail.len().div_ceil(8) * 8, 0);
-        for (i, c) in tail.chunks_exact(8).enumerate() {
-            let w = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-            let lane = &mut lanes[i % 4];
-            *lane = (*lane ^ w).rotate_left(23).wrapping_mul(K);
+
+    fn block(lanes: &mut [u64; 4], block: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            checksum_mix(lane, word);
         }
     }
-    let mut h = bytes.len() as u64;
-    for lane in lanes {
-        h = (h ^ lane).rotate_left(29).wrapping_mul(K);
+
+    /// Append bytes.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (32 - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < 32 {
+                return;
+            }
+            let block = self.pending;
+            Self::block(&mut self.lanes, &block);
+            self.pending_len = 0;
+        }
+        let mut chunks = bytes.chunks_exact(32);
+        for c in &mut chunks {
+            Self::block(&mut self.lanes, c);
+        }
+        let rest = chunks.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
     }
-    h ^ (h >> 31)
+
+    /// The checksum of every byte appended so far.
+    pub fn finish(&self) -> u64 {
+        let mut lanes = self.lanes;
+        // The tail (< 32 bytes), zero-padded to whole words, one word per
+        // lane in turn.
+        let mut tail = [0u8; 32];
+        tail[..self.pending_len].copy_from_slice(&self.pending[..self.pending_len]);
+        for (i, word) in tail[..self.pending_len.div_ceil(8) * 8]
+            .chunks_exact(8)
+            .enumerate()
+        {
+            checksum_mix(&mut lanes[i % 4], word);
+        }
+        let mut h = self.total;
+        for lane in lanes {
+            h = (h ^ lane).rotate_left(29).wrapping_mul(CHECKSUM_K);
+        }
+        h ^ (h >> 31)
+    }
 }
 
 #[cfg(test)]
@@ -374,6 +444,23 @@ mod tests {
         let mut padded = data.clone();
         padded.push(0);
         assert_ne!(checksum64(&data), checksum64(&padded));
+    }
+
+    #[test]
+    fn incremental_checksum_matches_one_shot_for_any_split() {
+        let data: Vec<u8> = (0..300u32).map(|i| (i * 31 % 251) as u8).collect();
+        let whole = checksum64(&data);
+        for split in [0, 1, 7, 31, 32, 33, 64, 150, 299, 300] {
+            let mut c = Checksum64::new();
+            c.update(&data[..split]);
+            c.update(&data[split..]);
+            assert_eq!(c.finish(), whole, "split at {split}");
+        }
+        let mut bytewise = Checksum64::new();
+        for b in &data {
+            bytewise.update(std::slice::from_ref(b));
+        }
+        assert_eq!(bytewise.finish(), whole);
     }
 
     #[test]

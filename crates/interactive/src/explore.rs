@@ -43,7 +43,7 @@ use qagview_query::{
     bind, group_aggregate_auto, group_aggregate_sampled, parse, BoundQuery, GroupTable,
     GroupedResult, ParallelScanStats, SampleSpec, SampleStats,
 };
-use qagview_storage::{Catalog, Table, TableId};
+use qagview_storage::{Catalog, RegisteredTable, TableId};
 use qagview_viz::Transition;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -183,20 +183,45 @@ pub enum CacheOutcome {
     Hit,
     /// Computed cold (and cached for next time).
     Miss,
+    /// Not consulted at all: a later layer's artifact was already at hand
+    /// (in memory or in the persistent store), so this layer's work never
+    /// ran. Only [`CacheProvenance::group_phase`] reports it — an exact
+    /// relation served without a scan.
+    Skipped,
 }
 
-/// Cumulative counters of the persistent plane-store tier.
+/// The two kinds of `.qag` file the persistent store holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StoreFileKind {
+    /// An exact, post-`HAVING` answer relation (`relation-<key>.qag`),
+    /// backing layers 1–2.
+    Answers,
+    /// A `(k, D)` plane set (`plane-<fp>-….qag`), backing layer 3.
+    Plane,
+}
+
+/// Per-file-kind counters of the persistent store tier.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StoreKindStats {
+    /// Files loaded after a memory-cache miss.
+    pub loads: u64,
+    /// Probes that found no usable file (absent, corrupt, or keyed to
+    /// something else) and fell through to a cold computation.
+    pub probe_misses: u64,
+    /// Files written back after a cold computation.
+    pub writes: u64,
+}
+
+/// Cumulative counters of the persistent store tier.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StoreLayerStats {
-    /// Plane sets loaded from a `.qag` file after a memory-cache miss.
-    pub loads: u64,
-    /// Probes that found no usable file (absent, corrupt, or keyed to a
-    /// different answer set) and fell through to a cold build.
-    pub probe_misses: u64,
-    /// Plane sets written back after a cold build.
-    pub writes: u64,
-    /// Write-backs that failed even after retrying. Serving is unaffected —
-    /// a failed write-back only costs the next process its warm start.
+    /// Answer-relation files.
+    pub answers: StoreKindStats,
+    /// Plane-set files.
+    pub planes: StoreKindStats,
+    /// Write-backs (of either kind) that failed even after retrying.
+    /// Serving is unaffected — a failed write-back only costs the next
+    /// process its warm start.
     pub write_errors: u64,
     /// Transient-fault retries across probes and write-backs (each retry
     /// slept one jittered backoff first).
@@ -207,6 +232,15 @@ pub struct StoreLayerStats {
     pub gc_evictions: u64,
     /// Bytes those evictions freed.
     pub gc_bytes_freed: u64,
+}
+
+impl StoreLayerStats {
+    fn kind_mut(&mut self, kind: StoreFileKind) -> &mut StoreKindStats {
+        match kind {
+            StoreFileKind::Answers => &mut self.answers,
+            StoreFileKind::Plane => &mut self.planes,
+        }
+    }
 }
 
 /// A cache layer of the [`Explorer`], named for stats and provenance.
@@ -262,11 +296,21 @@ pub enum Degradation {
         /// Total attempts including the successful one.
         attempts: u32,
     },
-    /// A plane write-back failed every attempt and was dropped. Serving
+    /// A write-back failed every attempt and was dropped. Serving
     /// continued from memory; the next process pays a cold build.
     StoreWriteBackDropped {
         /// Attempts made before giving up.
         attempts: u32,
+    },
+    /// A store file was there but unusable — torn, corrupt, a foreign
+    /// version, keyed to something else, or unreadable after every retry.
+    /// The command fell back to computing the artifact cold (and wrote a
+    /// good file back); the view is unaffected.
+    StoreFileRejected {
+        /// Which kind of file was rejected.
+        file: StoreFileKind,
+        /// Why it was rejected.
+        error: StoreErrorKind,
     },
     /// The session memory budget could not fit the full `(k, D)` plane;
     /// the view was served by a direct uncached solve instead, and the
@@ -303,7 +347,7 @@ pub struct ExplorerStats {
     pub planes: LayerStats,
     /// Drill-down summarizer cache.
     pub summarizers: LayerStats,
-    /// Persistent plane-store tier (layer 3's disk backing).
+    /// Persistent store tier (the disk backing of layers 2 and 3).
     pub store: StoreLayerStats,
     /// Morsel-parallel scan counters across every group-phase cache miss
     /// (all zero while scanned tables stay below the parallel threshold).
@@ -319,9 +363,20 @@ pub struct ExplorerStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CacheProvenance {
     /// Layer 1: finished group phase of the query's scan.
+    /// [`CacheOutcome::Skipped`] when the relation was served without it
+    /// (from memory or from the store's relation tier), so no scan ran.
     pub group_phase: CacheOutcome,
-    /// Layer 2: dense-coded answer relation.
+    /// Layer 2: dense-coded answer relation. [`CacheOutcome::Miss`] means
+    /// the in-memory cache had to be filled — `answers_store` says whether
+    /// the fill came from disk or from the group phase.
     pub answers: CacheOutcome,
+    /// The store's relation tier, probed for exact relations only, when a
+    /// store directory is configured and neither the group phase nor the
+    /// relation is in memory: `Some(Hit)` — the relation was loaded from a
+    /// `relation-<key>.qag` file and the table was never touched;
+    /// `Some(Miss)` — no usable file, the table was scanned (and the
+    /// relation written back); `None` — not consulted.
+    pub answers_store: Option<CacheOutcome>,
     /// Layer 3: the `(k, D)` parameter plane serving summary and plot.
     /// [`CacheOutcome::Miss`] means the in-memory cache had to be filled —
     /// `plane_store` says whether the fill came from disk or a cold build.
@@ -505,6 +560,7 @@ struct RelationOutcome {
     entry: Arc<AnswerEntry>,
     group_out: CacheOutcome,
     answers_out: CacheOutcome,
+    answers_store: Option<CacheOutcome>,
     /// Sampling statistics when the group phase came from the sampled
     /// pipeline; `None` on the exact path.
     sample: Option<SampleStats>,
@@ -758,69 +814,132 @@ impl Explorer {
         }
     }
 
-    /// The `.qag` path a plane keyed `(fp, l_eff, k_max)` persists at, when
-    /// a store directory is configured.
-    fn store_path(&self, fp: u64, l_eff: usize, k_max: usize) -> Option<std::path::PathBuf> {
-        self.cfg.store_dir.as_ref().map(|dir| {
-            dir.join(crate::store::plane_file_name(
-                fp,
-                l_eff,
-                k_max,
-                self.cfg.pool_factor,
-            ))
-        })
-    }
-
-    /// Probe the persistent store for a compatible plane set. Any failure —
-    /// absent file, corruption, foreign fingerprint, stale shape — is a
-    /// probe miss: the caller rebuilds cold and overwrites the file.
-    ///
-    /// Only *transient* read faults ([`StoreErrorKind::Io`]) retry, with
-    /// jittered backoff; a clean [`StoreErrorKind::NotFound`] and every
-    /// content failure miss immediately. A successful load touches the
-    /// file so the byte-budget GC sees it as recently used.
-    fn store_probe(
+    /// Load one store file of `kind` — the single probe path both file
+    /// kinds share. Reads `path` (only *transient* read faults,
+    /// [`StoreErrorKind::Io`], retry, with jittered backoff), then hands the
+    /// bytes to `decode`, the kind's validating decoder. Any failure is a
+    /// typed probe miss (`None`): the caller computes cold and writes a good
+    /// file back. A clean [`StoreErrorKind::NotFound`] is silent; every
+    /// other failure is surfaced as [`Degradation::StoreFileRejected`]. A
+    /// successful load touches the file so the byte-budget GC sees it as
+    /// recently used.
+    fn store_load<T>(
         &self,
+        kind: StoreFileKind,
         path: &std::path::Path,
-        base: &Arc<AnswerSet>,
-        fp: u64,
-        l_eff: usize,
-        k_max: usize,
         degradations: &mut Vec<Degradation>,
-    ) -> Option<Precomputed<'static>> {
+        decode: impl FnOnce(Vec<u8>) -> Result<T>,
+    ) -> Option<T> {
         let io = self.cfg.store_io.as_ref();
         let policy = &self.cfg.retry;
         let attempts = policy.attempts.max(1);
-        let mut reader = None;
+        let mut read = Err(QagError::store(StoreErrorKind::Io, "no read attempted"));
         for attempt in 0..attempts {
             if attempt > 0 {
                 io.sleep(policy.backoff(attempt - 1));
                 self.lock(&self.store_stats, CacheLayer::Store).retries += 1;
             }
-            match crate::store::StoreReader::open_io(io, path) {
-                Ok(r) => {
-                    if attempt > 0 {
-                        degradations.push(Degradation::StoreRetried {
-                            attempts: attempt + 1,
-                        });
-                    }
-                    reader = Some(r);
-                    break;
-                }
+            read = io
+                .read(path)
+                .map_err(|e| crate::store::io_error("read", path, e));
+            match &read {
+                Ok(_) if attempt > 0 => degradations.push(Degradation::StoreRetried {
+                    attempts: attempt + 1,
+                }),
                 // Transient fault: retry. Everything else — absence,
                 // truncation, corruption — is permanent for this probe.
                 Err(e) if e.store_kind() == Some(StoreErrorKind::Io) => continue,
-                Err(_) => break,
+                _ => {}
+            }
+            break;
+        }
+        let loaded = read.and_then(decode);
+        let mut st = self.lock(&self.store_stats, CacheLayer::Store);
+        match loaded {
+            Ok(v) => {
+                st.kind_mut(kind).loads += 1;
+                drop(st);
+                // Refresh recency so the byte-budget GC keeps what sessions
+                // actually load; a failed touch only skews eviction order.
+                let _ = io.touch(path);
+                Some(v)
+            }
+            Err(e) => {
+                st.kind_mut(kind).probe_misses += 1;
+                drop(st);
+                match e.store_kind() {
+                    Some(StoreErrorKind::NotFound) => {}
+                    error => degradations.push(Degradation::StoreFileRejected {
+                        file: kind,
+                        error: error.unwrap_or(StoreErrorKind::Corrupt),
+                    }),
+                }
+                None
             }
         }
-        let reader = reader?;
+    }
+
+    /// Write one freshly computed artifact's image back to the store — the
+    /// single write path both file kinds share: crash-safe write with
+    /// bounded retry, per-kind counters, degradations, then a byte-budget
+    /// GC pass. Never fails the command; a dropped write-back only costs
+    /// the next process its warm start.
+    fn store_write_back(
+        &self,
+        kind: StoreFileKind,
+        path: &std::path::Path,
+        image: &[u8],
+        degradations: &mut Vec<Degradation>,
+    ) {
+        let io = self.cfg.store_io.as_ref();
+        let written = crate::store::write_with_retry(io, path, image, &self.cfg.retry);
+        let mut st = self.lock(&self.store_stats, CacheLayer::Store);
+        match written {
+            Ok(attempts) => {
+                st.kind_mut(kind).writes += 1;
+                st.retries += u64::from(attempts - 1);
+                drop(st);
+                if attempts > 1 {
+                    degradations.push(Degradation::StoreRetried { attempts });
+                }
+            }
+            Err((_, attempts)) => {
+                st.write_errors += 1;
+                st.retries += u64::from(attempts.saturating_sub(1));
+                drop(st);
+                degradations.push(Degradation::StoreWriteBackDropped { attempts });
+            }
+        }
+        // Keep the directory under its byte budget now that it grew. GC
+        // trouble is never fatal — the next write-back retries it.
+        if let (Some(gc_budget), Some(dir)) =
+            (self.cfg.store_budget_bytes, self.cfg.store_dir.as_ref())
+        {
+            if let Ok(report) = crate::store::gc(io, dir, gc_budget) {
+                let mut st = self.lock(&self.store_stats, CacheLayer::Store);
+                st.gc_evictions += report.evicted as u64;
+                st.gc_bytes_freed += report.bytes_freed;
+            }
+        }
+    }
+
+    /// Decode a plane-set image and accept it only if it serves exactly
+    /// what the in-memory key promises: same relation, same `L`, a grid
+    /// covering the full knob ranges, and the same pool factor — pool size
+    /// changes which clusters the Fixed-Order phase keeps, so a plane built
+    /// under a different pool factor would serve different (valid but
+    /// non-reproducible) summaries, breaking the warm-equals-cold
+    /// invariant.
+    fn decode_plane(
+        &self,
+        bytes: Vec<u8>,
+        base: &Arc<AnswerSet>,
+        fp: u64,
+        l_eff: usize,
+        k_max: usize,
+    ) -> Result<Precomputed<'static>> {
+        let reader = crate::store::StoreReader::from_bytes(bytes)?;
         let cfg = reader.config();
-        // The file must serve exactly what the in-memory key promises:
-        // same relation, same L, a grid covering the full knob ranges, and
-        // the same pool factor — pool size changes which clusters the
-        // Fixed-Order phase keeps, so a plane built under a different
-        // pool_factor would serve different (valid but non-reproducible)
-        // summaries, breaking the warm-equals-cold invariant.
         if reader.fingerprint() != fp
             || reader.l() != l_eff
             || cfg.k_min != 1
@@ -829,13 +948,12 @@ impl Explorer {
             || cfg.d_max != base.arity()
             || cfg.pool_factor != self.cfg.pool_factor
         {
-            return None;
+            return Err(QagError::store(
+                StoreErrorKind::FingerprintMismatch,
+                "plane file is keyed to a different relation or plane shape",
+            ));
         }
-        let pre = reader.into_precomputed(Arc::clone(base)).ok()?;
-        // Refresh recency so the byte-budget GC keeps what sessions
-        // actually load; a failed touch only skews eviction order.
-        let _ = io.touch(path);
-        Some(pre)
+        reader.into_precomputed(Arc::clone(base))
     }
 
     /// Rough bytes a dense answer relation retains: `m` u32 codes plus an
@@ -871,9 +989,9 @@ impl Explorer {
     /// [`Explorer::open_session`] on the same query is warm.
     pub fn answer_relation(&self, sql: &str) -> Result<Arc<AnswerSet>> {
         let stmt = parse(sql)?;
-        let (table_id, table) = self.catalog.require_shared(&stmt.from)?;
-        let bound = bind(&stmt, &table)?;
-        let ro = self.relation_layers(table_id, &table, &bound, FidelityMode::Exact)?;
+        let table = self.catalog.require_registered(&stmt.from)?;
+        let bound = bind(&stmt, &table.table)?;
+        let ro = self.relation_layers(&table, &bound, FidelityMode::Exact, &mut Vec::new())?;
         Ok(Arc::clone(&ro.entry.answers))
     }
 
@@ -882,26 +1000,85 @@ impl Explorer {
     /// relation derived from it. Sampled artifacts fold the
     /// [`SampleSpec`] fingerprint into both cache keys, so exact and
     /// approximate entries for the same query coexist and never alias.
+    ///
+    /// With a store directory, exact relations are also persisted: when
+    /// neither the group phase nor the relation is in memory, the
+    /// relation tier is probed *before* layer 1, and a usable
+    /// `relation-<key>.qag` serves the relation without touching the
+    /// table. The key folds the table's *content* fingerprint with the
+    /// group and output fingerprints (the output one covers any
+    /// `SetThreshold` override), so it means the same thing in every
+    /// process. On a probe miss the table is scanned, the relation derived
+    /// and published in memory, then written back. Approximate relations
+    /// are never persisted, like approximate planes.
     fn relation_layers(
         &self,
-        table_id: TableId,
-        table: &Arc<Table>,
+        table: &RegisteredTable,
         bound: &BoundQuery,
         fidelity: FidelityMode,
+        degradations: &mut Vec<Degradation>,
     ) -> Result<RelationOutcome> {
         let approx = fidelity == FidelityMode::Approximate;
         let group_fp = bound.group.fingerprint();
+        let output_fp = bound.output.fingerprint();
         let phase_fp = if approx {
             combine(group_fp, self.cfg.sample.fingerprint())
         } else {
             group_fp
         };
+        let gkey = (table.id, phase_fp);
+        let akey = (table.id, combine(phase_fp, output_fp));
+
+        // The relation tier. A resident group phase derives the relation
+        // in O(groups), cheaper than any file read, so the tier is only
+        // consulted when the scan would otherwise have to run — and then
+        // layer 2's memory probe goes first. Without the tier the layers
+        // keep their plain 1-then-2 order.
+        let tier = match &self.cfg.store_dir {
+            Some(dir) if !approx => {
+                let key = combine(table.fingerprint, combine(group_fp, output_fp));
+                Some((dir.join(crate::store::relation_file_name(key)), key))
+            }
+            _ => None,
+        };
+        let mut answers_store = None;
+        if let Some((path, key)) = &tier {
+            let resident = self
+                .lock(&self.groups, CacheLayer::GroupPhase)
+                .cache
+                .contains_key(&gkey);
+            if !resident {
+                let probe = self
+                    .lock(&self.answers, CacheLayer::Answers)
+                    .get_cloned(&akey);
+                let served = match probe {
+                    Some(entry) => Some((entry, CacheOutcome::Hit, None)),
+                    None => self
+                        .store_load(StoreFileKind::Answers, path, degradations, |bytes| {
+                            crate::store::relation_from_bytes(&bytes, *key)
+                        })
+                        .map(|(answers, fp)| {
+                            let entry = self.publish_answers(akey, answers, fp);
+                            (entry, CacheOutcome::Miss, Some(CacheOutcome::Hit))
+                        }),
+                };
+                if let Some((entry, answers_out, answers_store)) = served {
+                    return Ok(RelationOutcome {
+                        entry,
+                        group_out: CacheOutcome::Skipped,
+                        answers_out,
+                        answers_store,
+                        sample: None,
+                    });
+                }
+                answers_store = Some(CacheOutcome::Miss);
+            }
+        }
 
         // Layer 1: the finished group phase — the only stage that ever
         // touches the base table. The scratch group table is borrowed out
         // of the engine while the scan runs unlocked; a concurrent miss
         // simply scans with a fresh scratch.
-        let gkey = (table_id, phase_fp);
         // Each probe is bound to its own statement so the layer guard in
         // the scrutinee drops before the miss arm re-locks to insert.
         let probe = self
@@ -913,7 +1090,8 @@ impl Explorer {
             None if approx => {
                 // The sampled phase brings its own (small) group table and
                 // touches only the drawn rows — no scratch borrowing.
-                let sampled = group_aggregate_sampled(&bound.group, table, &self.cfg.sample, 1)?;
+                let sampled =
+                    group_aggregate_sampled(&bound.group, &table.table, &self.cfg.sample, 1)?;
                 let g = Arc::new(GroupPhase {
                     result: sampled.result,
                     sample: Some(sampled.stats),
@@ -927,7 +1105,8 @@ impl Explorer {
                 let mut scratch =
                     std::mem::take(&mut self.lock(&self.groups, CacheLayer::GroupPhase).scratch);
                 let mut scan = ParallelScanStats::default();
-                let result = group_aggregate_auto(&bound.group, table, &mut scratch, &mut scan);
+                let result =
+                    group_aggregate_auto(&bound.group, &table.table, &mut scratch, &mut scan);
                 let mut layer = self.lock(&self.groups, CacheLayer::GroupPhase);
                 layer.scratch = scratch;
                 layer.scan_stats.merge(scan);
@@ -941,28 +1120,52 @@ impl Explorer {
         };
 
         // Layer 2: the dense-coded answer relation, derived O(groups) from
-        // the group phase via the direct (no string round-trip) path.
-        let akey = (table_id, combine(phase_fp, bound.output.fingerprint()));
-        let probe = self
-            .lock(&self.answers, CacheLayer::Answers)
-            .get_cloned(&akey);
+        // the group phase via the direct (no string round-trip) path. Its
+        // memory probe already ran (and missed) if the relation tier was
+        // consulted.
+        let probe = match answers_store {
+            Some(_) => None,
+            None => self
+                .lock(&self.answers, CacheLayer::Answers)
+                .get_cloned(&akey),
+        };
         let (entry, answers_out) = match probe {
             Some(e) => (e, CacheOutcome::Hit),
             None => {
-                let answers = Arc::new(grouped.result.apply_answers(&bound.output)?);
+                let answers = grouped.result.apply_answers(&bound.output)?;
                 let fp = answers.fingerprint();
-                let e = Arc::new(AnswerEntry { answers, fp });
-                self.lock(&self.answers, CacheLayer::Answers)
-                    .insert(akey, Arc::clone(&e));
-                (e, CacheOutcome::Miss)
+                (self.publish_answers(akey, answers, fp), CacheOutcome::Miss)
             }
         };
+        // Published first, written back second: a racing session finds the
+        // relation in memory without waiting on the disk.
+        if let (Some(_), Some((path, key))) = (answers_store, &tier) {
+            let image = crate::store::relation_to_bytes(*key, &entry.answers);
+            self.store_write_back(StoreFileKind::Answers, path, &image, degradations);
+        }
         Ok(RelationOutcome {
             entry,
             group_out,
             answers_out,
+            answers_store,
             sample: grouped.sample,
         })
+    }
+
+    /// Insert a freshly derived or loaded relation into layer 2.
+    fn publish_answers(
+        &self,
+        akey: (TableId, u64),
+        answers: AnswerSet,
+        fp: u64,
+    ) -> Arc<AnswerEntry> {
+        let e = Arc::new(AnswerEntry {
+            answers: Arc::new(answers),
+            fp,
+        });
+        self.lock(&self.answers, CacheLayer::Answers)
+            .insert(akey, Arc::clone(&e));
+        e
     }
 
     fn view_internal(
@@ -979,8 +1182,8 @@ impl Explorer {
         let mut degradations: Vec<Degradation> = Vec::new();
         let poison_before = self.poison.snapshot();
         let stmt = parse(&state.sql)?;
-        let (table_id, table) = self.catalog.require_shared(&stmt.from)?;
-        let mut bound = bind(&stmt, &table)?;
+        let table = self.catalog.require_registered(&stmt.from)?;
+        let mut bound = bind(&stmt, &table.table)?;
         if let Some(t) = state.threshold {
             match bound.output.having.first_mut() {
                 Some(h) => h.value = t,
@@ -994,11 +1197,12 @@ impl Explorer {
 
         // Layers 1–2: the finished group phase and the dense-coded answer
         // relation (shared with [`Explorer::answer_relation`]).
-        let ro = self.relation_layers(table_id, &table, &bound, state.fidelity)?;
+        let ro = self.relation_layers(&table, &bound, state.fidelity, &mut degradations)?;
         let RelationOutcome {
             entry,
             group_out,
             answers_out,
+            answers_store,
             sample,
         } = ro;
         let base = Arc::clone(&entry.answers);
@@ -1075,19 +1279,22 @@ impl Explorer {
                     // keyed to a sample, cheap to rebuild, and a store
                     // full of throwaway sampled planes would evict the
                     // exact ones warm starts depend on.
-                    let store_path = if approx {
-                        None
-                    } else {
-                        self.store_path(base_fp, l_eff, k_max)
+                    let store_path = match &self.cfg.store_dir {
+                        Some(dir) if !approx => Some(dir.join(crate::store::plane_file_name(
+                            base_fp,
+                            l_eff,
+                            k_max,
+                            self.cfg.pool_factor,
+                        ))),
+                        _ => None,
                     };
                     let loaded = store_path.as_ref().and_then(|path| {
-                        self.store_probe(path, &base, base_fp, l_eff, k_max, &mut degradations)
+                        self.store_load(StoreFileKind::Plane, path, &mut degradations, |bytes| {
+                            self.decode_plane(bytes, &base, base_fp, l_eff, k_max)
+                        })
                     });
-                    let (p, store_out, write_back) = match loaded {
-                        Some(p) => {
-                            self.lock(&self.store_stats, CacheLayer::Store).loads += 1;
-                            (Arc::new(p), Some(CacheOutcome::Hit), false)
-                        }
+                    let (p, store_out) = match loaded {
+                        Some(p) => (Arc::new(p), Some(CacheOutcome::Hit)),
                         None => {
                             let built: Arc<Precomputed<'static>> = Arc::new(Precomputed::build(
                                 Arc::clone(&base),
@@ -1112,12 +1319,7 @@ impl Explorer {
                                     ..Default::default()
                                 },
                             )?);
-                            if store_path.is_some() {
-                                self.lock(&self.store_stats, CacheLayer::Store).probe_misses += 1;
-                                (built, Some(CacheOutcome::Miss), true)
-                            } else {
-                                (built, None, false)
-                            }
+                            (built, store_path.as_ref().map(|_| CacheOutcome::Miss))
                         }
                     };
                     // Publish to the memory cache *before* the disk
@@ -1127,38 +1329,15 @@ impl Explorer {
                     // between them and a hit.
                     self.lock(&self.planes, CacheLayer::Planes)
                         .insert(pkey, Arc::clone(&p));
-                    if write_back {
-                        let path = store_path.as_ref().expect("write_back implies a path");
-                        let io = self.cfg.store_io.as_ref();
-                        match crate::store::save_with_retry(io, &p, path, &self.cfg.retry) {
-                            Ok(attempts) => {
-                                let mut st = self.lock(&self.store_stats, CacheLayer::Store);
-                                st.writes += 1;
-                                st.retries += u64::from(attempts - 1);
-                                drop(st);
-                                if attempts > 1 {
-                                    degradations.push(Degradation::StoreRetried { attempts });
-                                }
-                            }
-                            Err((_, attempts)) => {
-                                let mut st = self.lock(&self.store_stats, CacheLayer::Store);
-                                st.write_errors += 1;
-                                st.retries += u64::from(attempts.saturating_sub(1));
-                                drop(st);
-                                degradations.push(Degradation::StoreWriteBackDropped { attempts });
-                            }
-                        }
-                        // Keep the directory under its byte budget now that
-                        // it grew. GC trouble is never fatal — the next
-                        // write-back retries it.
-                        if let (Some(gc_budget), Some(dir)) =
-                            (self.cfg.store_budget_bytes, self.cfg.store_dir.as_ref())
-                        {
-                            if let Ok(report) = crate::store::gc(io, dir, gc_budget) {
-                                let mut st = self.lock(&self.store_stats, CacheLayer::Store);
-                                st.gc_evictions += report.evicted as u64;
-                                st.gc_bytes_freed += report.bytes_freed;
-                            }
+                    if let (Some(CacheOutcome::Miss), Some(path)) = (store_out, &store_path) {
+                        // A freshly built plane set always serializes.
+                        if let Ok(image) = crate::store::to_bytes(&p) {
+                            self.store_write_back(
+                                StoreFileKind::Plane,
+                                path,
+                                &image,
+                                &mut degradations,
+                            );
                         }
                     }
                     (Some(p), CacheOutcome::Miss, store_out)
@@ -1261,6 +1440,7 @@ impl Explorer {
         let provenance = CacheProvenance {
             group_phase: group_out,
             answers: answers_out,
+            answers_store,
             plane: plane_out,
             plane_store: store_out,
             summarizer: summarizer_out,
@@ -2073,11 +2253,17 @@ mod tests {
         let cold = s.apply(ExploreCommand::SetQuery(SQL.into())).unwrap();
         assert_eq!(cold.provenance.plane, CacheOutcome::Miss);
         assert_eq!(cold.provenance.plane_store, Some(CacheOutcome::Miss));
+        assert_eq!(cold.provenance.answers_store, Some(CacheOutcome::Miss));
         let stats = engine.stats().store;
-        assert_eq!((stats.loads, stats.probe_misses, stats.writes), (0, 1, 1));
+        let counts = |k: StoreKindStats| (k.loads, k.probe_misses, k.writes);
+        assert_eq!(counts(stats.planes), (0, 1, 1));
+        assert_eq!(counts(stats.answers), (0, 1, 1));
         assert_eq!(stats.write_errors, 0);
-        let files: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert_eq!(files.len(), 1, "exactly one .qag written");
+        let files: Vec<std::path::PathBuf> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .collect();
+        assert_eq!(files.len(), 2, "one relation and one plane .qag written");
 
         // Same engine, warm tick: memory hit, store not consulted.
         let warm = s.apply(ExploreCommand::SetK(3)).unwrap();
@@ -2091,15 +2277,26 @@ mod tests {
         let restored = s2.apply(ExploreCommand::SetQuery(SQL.into())).unwrap();
         assert_eq!(restored.provenance.plane, CacheOutcome::Miss);
         assert_eq!(restored.provenance.plane_store, Some(CacheOutcome::Hit));
-        assert_eq!(engine2.stats().store.loads, 1);
+        assert_eq!(restored.provenance.answers_store, Some(CacheOutcome::Hit));
+        assert_eq!(restored.provenance.group_phase, CacheOutcome::Skipped);
+        assert_eq!(engine2.stats().store.planes.loads, 1);
+        assert_eq!(engine2.stats().store.answers.loads, 1);
         assert!(cold.same_view(&restored), "store-served view must match");
 
         // A corrupt file is a probe miss, not an error: flip one byte.
-        let path = files[0].as_ref().unwrap().path();
-        let mut bytes = std::fs::read(&path).unwrap();
+        let path = files
+            .iter()
+            .find(|p| {
+                p.file_name()
+                    .unwrap()
+                    .to_string_lossy()
+                    .starts_with("plane-")
+            })
+            .unwrap();
+        let mut bytes = std::fs::read(path).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
-        std::fs::write(&path, &bytes).unwrap();
+        std::fs::write(path, &bytes).unwrap();
         let engine3 = Arc::new(Explorer::from_shared(
             Arc::clone(&shared),
             ExplorerConfig {
@@ -2110,6 +2307,13 @@ mod tests {
         let mut s3 = ExploreSession::new(Arc::clone(&engine3));
         let rebuilt = s3.apply(ExploreCommand::SetQuery(SQL.into())).unwrap();
         assert_eq!(rebuilt.provenance.plane_store, Some(CacheOutcome::Miss));
+        assert!(rebuilt
+            .provenance
+            .degradations
+            .contains(&Degradation::StoreFileRejected {
+                file: StoreFileKind::Plane,
+                error: StoreErrorKind::ChecksumMismatch,
+            }));
         assert!(cold.same_view(&rebuilt));
         // ... and the rebuild overwrote the corrupt file with a good one.
         let engine4 = Arc::new(Explorer::from_shared(
@@ -2249,7 +2453,7 @@ mod tests {
             .degradations
             .contains(&Degradation::StoreRetried { attempts: 2 }));
         let stats = engine2.stats().store;
-        assert_eq!((stats.loads, stats.retries), (1, 1));
+        assert_eq!((stats.planes.loads, stats.retries), (1, 1));
         assert_eq!(io.sleeps().len(), 1, "the retry slept one backoff");
 
         std::fs::remove_dir_all(&dir).unwrap();
@@ -2266,9 +2470,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
 
         // Crash the simulated process at the first write-back's
-        // create_temp (op 2: list, probe read, create_temp): every retry
-        // fails too, the write-back is dropped — and the analyst still
-        // gets their summary.
+        // create_temp (op 2: list, relation probe read, create_temp):
+        // every later op fails too, so both write-backs (relation, then
+        // plane) are dropped — and the analyst still gets their summary.
         let io = Arc::new(FaultIo::new());
         io.schedule(2, FaultKind::Crash);
         let engine = Arc::new(Explorer::with_config(
@@ -2288,7 +2492,14 @@ mod tests {
             .degradations
             .contains(&Degradation::StoreWriteBackDropped { attempts: 3 }));
         let stats = engine.stats().store;
-        assert_eq!((stats.writes, stats.write_errors), (0, 1));
+        assert_eq!(
+            (
+                stats.answers.writes,
+                stats.planes.writes,
+                stats.write_errors
+            ),
+            (0, 0, 2)
+        );
         // Nothing torn left on disk.
         assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0);
         // Serving continues from memory.
@@ -2327,11 +2538,28 @@ mod tests {
             .sum::<u64>();
         assert!(size_a > 0);
 
-        // mtime must separate the two writes for deterministic LRU order.
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        // Backdate A's files (relation older than plane) so the LRU order
+        // is deterministic: file mtimes are too coarse to separate writes
+        // made within a few milliseconds.
+        for entry in std::fs::read_dir(&dir).unwrap() {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let age = if name.starts_with("relation-") {
+                120
+            } else {
+                60
+            };
+            std::fs::File::options()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_modified(std::time::SystemTime::now() - std::time::Duration::from_secs(age))
+                .unwrap();
+        }
 
-        // An engine with a budget of exactly one plane-A writes plane B,
-        // overflows the budget, and GC evicts the older plane A.
+        // An engine with a budget of exactly A's two files (relation and
+        // plane) writes B's two, overflows the budget, and GC evicts the
+        // older A files.
         let engine2 = Arc::new(Explorer::from_shared(
             Arc::clone(&shared),
             ExplorerConfig {
@@ -2344,17 +2572,17 @@ mod tests {
             .apply(ExploreCommand::SetQuery(sql_b.into()))
             .unwrap();
         let stats = engine2.stats().store;
-        assert_eq!(stats.gc_evictions, 1);
+        assert_eq!(stats.gc_evictions, 2);
         assert!(stats.gc_bytes_freed > 0);
         let remaining: u64 = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().metadata().unwrap().len())
             .sum();
         assert!(remaining <= size_a, "directory over budget after GC");
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2);
 
-        // The retained plane (B) still warm-starts a fresh process purely
-        // from the store; the evicted one (A) is a clean probe miss.
+        // The retained files (B) still warm-start a fresh process purely
+        // from the store; the evicted ones (A) are clean probe misses.
         let engine3 = Arc::new(Explorer::from_shared(
             Arc::clone(&shared),
             ExplorerConfig {
@@ -2365,8 +2593,14 @@ mod tests {
         let mut s3 = ExploreSession::new(Arc::clone(&engine3));
         let warm = s3.apply(ExploreCommand::SetQuery(sql_b.into())).unwrap();
         assert_eq!(warm.provenance.plane_store, Some(CacheOutcome::Hit));
+        assert_eq!(warm.provenance.answers_store, Some(CacheOutcome::Hit));
         let rebuilt = s3.apply(ExploreCommand::SetQuery(SQL.into())).unwrap();
         assert_eq!(rebuilt.provenance.plane_store, Some(CacheOutcome::Miss));
+        assert_eq!(rebuilt.provenance.answers_store, Some(CacheOutcome::Miss));
+        assert!(
+            rebuilt.provenance.degradations.is_empty(),
+            "absence is silent"
+        );
 
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -53,7 +53,8 @@ pub use checkpoint::{checkpoint_file_name, SessionCheckpoint};
 pub use explore::{
     CacheLayer, CacheOutcome, CacheProvenance, ClusterView, Degradation, ExploreCommand,
     ExploreResponse, ExploreSession, ExploreState, Explorer, ExplorerConfig, ExplorerStats,
-    Fidelity, FidelityMode, PoisonStats, SessionSpec, StoreLayerStats, SummaryView,
+    Fidelity, FidelityMode, PoisonStats, SessionSpec, StoreFileKind, StoreKindStats,
+    StoreLayerStats, SummaryView,
 };
 // The sampling knobs live in the query layer but are configured through
 // [`ExplorerConfig::sample`]; re-export them so engine configurers need

@@ -1,5 +1,7 @@
 //! The persistent precompute store: versioned, checksummed `.qag` files
-//! holding a full [`Precomputed`] `(k, D)` plane set.
+//! holding the two artifacts a restarted process needs to serve a view
+//! without recomputing it — the exact answer relation of a query, and its
+//! full [`Precomputed`] `(k, D)` plane set.
 //!
 //! The paper's interactivity guarantee (§6.2, §7) rests on precomputing
 //! every `(k, D)` solution plane so a slider or knob tick is a lookup.
@@ -8,19 +10,29 @@
 //! that lifetime: a built plane set serializes to one `.qag` file, and a
 //! fresh process [`load`]s it back in roughly the cost of reading the file,
 //! then serves summaries **byte-identical** to the ones the building
-//! process served.
+//! process served. Planes are keyed by the answer relation's content
+//! fingerprint, which a fresh process could only learn by rescanning the
+//! table — so the relation is persisted too ([`relation_to_bytes`]), keyed
+//! by what the process *does* know up front: the table's content
+//! fingerprint and the query's group and output fingerprints.
 //!
-//! # File layout (format version 1)
+//! # File layouts
 //!
 //! All integers are little-endian; floats are stored as raw `u64` bit
-//! patterns (the engine's byte-identity discipline extends to disk).
+//! patterns (the engine's byte-identity discipline extends to disk). Both
+//! kinds share one fixed header:
 //!
 //! ```text
-//! [ 0.. 8)  magic            b"QAGPLANE"
-//! [ 8..12)  format version   u32 (currently 1)
+//! [ 0.. 8)  magic            b"QAGPLANE" (plane set) or b"QAGRELTN" (relation)
+//! [ 8..12)  format version   u32 (currently 1 for both kinds)
 //! [12..20)  payload checksum u64 — qagview_common::wire::checksum64 of
 //!                            every byte after this field
-//! [20..  )  payload:
+//! [20..  )  payload
+//! ```
+//!
+//! **Plane set** (`plane-<fp>-l<L>-k<kmax>-p<pool>.qag`, [`to_bytes`]):
+//!
+//! ```text
 //!   header   answer-set content fingerprint u64, n u64, m u32, L u32,
 //!            PrecomputeConfig (k_min/k_max/d_min/d_max/pool_factor u32,
 //!            eval/engine/parallel u8, reserved u8)
@@ -39,40 +51,65 @@
 //! and the per-`D` sections reference it by candidate id — mirroring how
 //! the build shares one Fixed-Order prefix across all `D` descents.
 //!
+//! **Answer relation** (`relation-<key>.qag`, [`relation_to_bytes`]): the
+//! exact, post-`HAVING` relation, rank-ordered as served.
+//!
+//! ```text
+//!   key      u64 — the engine's relation key (table content fingerprint ⊕
+//!            group-phase fingerprint ⊕ output-phase fingerprint, the last
+//!            including any SetThreshold override)
+//!   fp       u64 — the relation's AnswerSet::fingerprint
+//!   relation m u32 · n u64 · m attribute names · per attribute: domain
+//!            size u32 + display strings in code order · n·m codes u32
+//!            (row-major) · n scores f64-bits (qagview_lattice::wire)
+//! ```
+//!
+//! Strings are a `u32` byte count plus UTF-8 bytes. Approximate (sampled)
+//! relations and planes are never persisted.
+//!
 //! # Warm start cost
 //!
-//! [`StoreReader::open`] reads the file once, verifies the checksum (one
-//! linear pass), and decodes only the small sections: header, patterns,
-//! states, intervals. Coverage — the bulky part — stays as undecoded byte
-//! ranges of the single shared buffer and is materialized per cluster
-//! each time a solution touches it ([`qagview_lattice::StoredCluster`];
-//! cost-comparable to the live-index path, which clones its cached
-//! coverage list per access).
+//! A restarted process serving a known query reads one relation file
+//! (checksum, decode, bounds and order check, re-fingerprint — one linear
+//! pass each) and one plane file per `L`, and never touches the table.
+//! [`StoreReader::open`] reads a plane file once, verifies the checksum
+//! (one linear pass), and decodes only the small sections: header,
+//! patterns, states, intervals. Coverage — the bulky part — stays as
+//! undecoded byte ranges of the single shared buffer and is materialized
+//! per cluster each time a solution touches it
+//! ([`qagview_lattice::StoredCluster`]; cost-comparable to the live-index
+//! path, which clones its cached coverage list per access).
 //! A stabbing query at `(k, d)` touches at most `k` clusters, so the
 //! first summary after a process start costs file-read + checksum + a few
-//! coverage decodes, not a candidate-index rebuild — the `store_warm_start`
-//! section of `BENCH_hotpath.json` holds this at ≥ 50× faster than the
-//! cold build.
+//! coverage decodes, not a candidate-index rebuild.
 //!
 //! # Failure model
 //!
 //! Every way a file can be unusable — truncation, wrong magic, unknown
-//! version, checksum mismatch, semantic corruption, or a fingerprint that
-//! does not match the answer set being loaded against — returns a typed
-//! [`QagError::Store`] with a [`StoreErrorKind`]; nothing in the decode or
-//! serve path panics on file content. [`crate::Explorer`] treats any load
-//! failure as a cache miss and rebuilds (then overwrites the bad file).
+//! version, checksum mismatch, semantic corruption (an out-of-domain code,
+//! a NaN or misordered score, an inverted interval), or a key or
+//! fingerprint that does not match what it is being loaded as — returns a
+//! typed [`QagError::Store`] with a [`StoreErrorKind`]; nothing in the
+//! decode or serve path panics on file content. A relation file is used
+//! only if magic, version, checksum, key and code bounds all pass *and*
+//! its recomputed content fingerprint equals the one in its header.
+//! [`crate::Explorer`] treats any load failure as a cache miss: it
+//! recomputes (a relation falls back to the table scan, a plane to a cold
+//! build), records a [`crate::Degradation::StoreFileRejected`] unless the
+//! file was simply absent, and overwrites the bad file. Neither kind can
+//! ever produce a wrong answer — only a slower one.
 //!
 //! Faults at the moment they happen are covered too: every filesystem
 //! touch goes through a [`StoreIo`] ([`RealIo`] in production, a
 //! scriptable [`qagview_common::FaultIo`] under test), and the write path
-//! is crash-safe by construction — create temp, write, **sync**, rename —
-//! so a kill at any step leaves either the complete old file, the
-//! complete new file, or nothing but an orphaned temp that
-//! [`clean_orphan_temps`] sweeps on the next open. A directory-level
-//! [`gc`] keeps a store under a configurable byte budget by evicting the
-//! least-recently-used `.qag` files (recency = mtime, refreshed by
-//! [`StoreIo::touch`] on every successful load).
+//! ([`write_with_retry`], shared by both kinds) is crash-safe by
+//! construction — create temp, write, **sync**, rename — so a kill at any
+//! step leaves either the complete old file, the complete new file, or
+//! nothing but an orphaned temp that [`clean_orphan_temps`] sweeps on the
+//! next open. A directory-level [`gc`] keeps a store under a configurable
+//! byte budget by evicting the least-recently-used `.qag` files of either
+//! kind (recency = mtime, refreshed by [`StoreIo::touch`] on every
+//! successful load).
 
 use crate::interval_tree::IntervalTree;
 use crate::precompute::{DPlane, PrecomputeConfig, Precomputed, StateMeta};
@@ -81,7 +118,7 @@ use qagview_common::io::{RealIo, RetryPolicy, StoreIo};
 use qagview_common::wire::{checksum64, Reader, Writer};
 use qagview_common::{QagError, Result, StoreErrorKind};
 use qagview_core::EvalMode;
-use qagview_lattice::{wire as lwire, AnswersHandle, CandId, ClusterDirectory};
+use qagview_lattice::{wire as lwire, AnswerSet, AnswersHandle, CandId, ClusterDirectory};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -89,6 +126,10 @@ use std::sync::Arc;
 pub const STORE_MAGIC: [u8; 8] = *b"QAGPLANE";
 /// Current store format version.
 pub const STORE_VERSION: u32 = 1;
+/// Magic bytes identifying a `.qag` answer-relation file.
+pub const RELATION_MAGIC: [u8; 8] = *b"QAGRELTN";
+/// Current relation-file format version.
+pub const RELATION_VERSION: u32 = 1;
 /// Bytes before the payload: magic (8) + version (4) + checksum (8).
 const HEADER_BYTES: usize = 20;
 
@@ -210,9 +251,120 @@ pub fn to_bytes(pre: &Precomputed<'_>) -> Result<Vec<u8>> {
         }
     }
 
+    Ok(seal(w, checksum_at))
+}
+
+/// Back-patch the payload checksum of a finished image.
+fn seal(mut w: Writer, checksum_at: usize) -> Vec<u8> {
     let sum = checksum64(&w.as_bytes()[HEADER_BYTES..]);
     w.patch_u64(checksum_at, sum);
-    Ok(w.into_bytes())
+    w.into_bytes()
+}
+
+/// Verify the fixed header every `.qag` file kind shares — length, magic,
+/// format version, payload checksum — so no section decode ever runs over
+/// bytes that were not written whole by this build's format.
+fn verify_image(bytes: &[u8], magic: &[u8; 8], version: u32) -> Result<()> {
+    if bytes.len() < HEADER_BYTES {
+        return Err(QagError::store(
+            StoreErrorKind::Truncated,
+            format!(
+                "file is {} bytes, the fixed header alone needs {HEADER_BYTES}",
+                bytes.len()
+            ),
+        ));
+    }
+    if bytes[..8] != magic[..] {
+        return Err(QagError::store(
+            StoreErrorKind::BadMagic,
+            format!(
+                "missing {} magic; not this kind of store file",
+                String::from_utf8_lossy(magic)
+            ),
+        ));
+    }
+    let found = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
+    if found != version {
+        return Err(QagError::store(
+            StoreErrorKind::UnsupportedVersion,
+            format!("format version {found}, this build reads {version}"),
+        ));
+    }
+    let stored = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
+    let actual = checksum64(&bytes[HEADER_BYTES..]);
+    if stored != actual {
+        return Err(QagError::store(
+            StoreErrorKind::ChecksumMismatch,
+            format!("stored {stored:#018x}, computed {actual:#018x}"),
+        ));
+    }
+    Ok(())
+}
+
+/// The canonical file name of a persisted answer relation. `key` is the
+/// engine's cross-process relation key: the table's content fingerprint
+/// folded with the group-phase and output-phase fingerprints of the query
+/// (see [`crate::Explorer`]).
+pub fn relation_file_name(key: u64) -> String {
+    format!("relation-{key:016x}.qag")
+}
+
+/// Serialize an exact answer relation to the relation-file image (format
+/// version [`RELATION_VERSION`]): the fixed header, then `key`, the
+/// relation's content fingerprint, and the [`lwire::put_answers`] section.
+pub fn relation_to_bytes(key: u64, answers: &AnswerSet) -> Vec<u8> {
+    let mut w =
+        Writer::with_capacity(HEADER_BYTES + 64 + answers.len() * (answers.arity() * 4 + 8));
+    w.put_bytes(&RELATION_MAGIC);
+    w.put_u32(RELATION_VERSION);
+    let checksum_at = w.len();
+    w.put_u64(0); // back-patched by `seal`
+    w.put_u64(key);
+    w.put_u64(answers.fingerprint());
+    lwire::put_answers(&mut w, answers);
+    seal(w, checksum_at)
+}
+
+/// Decode a relation-file image, accepting it only as the relation keyed
+/// `key`. Returns the relation with its (verified) content fingerprint.
+///
+/// # Errors
+///
+/// Every failure is a typed [`QagError::Store`]: the shared header checks
+/// (truncation, magic, version, checksum), [`StoreErrorKind::FingerprintMismatch`]
+/// when the file holds a different key, and [`StoreErrorKind::Corrupt`] on
+/// a malformed section, out-of-domain code, NaN or misordered score,
+/// trailing bytes, or a recomputed content fingerprint that differs from
+/// the one in the header.
+pub fn relation_from_bytes(bytes: &[u8], key: u64) -> Result<(AnswerSet, u64)> {
+    verify_image(bytes, &RELATION_MAGIC, RELATION_VERSION)?;
+    let mut r = Reader::new(&bytes[HEADER_BYTES..]);
+    let stored_key = r.read_u64()?;
+    if stored_key != key {
+        return Err(QagError::store(
+            StoreErrorKind::FingerprintMismatch,
+            format!("file holds relation {stored_key:#018x}, expected {key:#018x}"),
+        ));
+    }
+    let stored_fp = r.read_u64()?;
+    let answers = lwire::read_answers(&mut r)?;
+    if !r.is_exhausted() {
+        return Err(QagError::store(
+            StoreErrorKind::Corrupt,
+            format!(
+                "{} trailing bytes after the relation section",
+                r.remaining()
+            ),
+        ));
+    }
+    let fp = answers.fingerprint();
+    if fp != stored_fp {
+        return Err(QagError::store(
+            StoreErrorKind::Corrupt,
+            format!("relation content fingerprints to {fp:#018x}, header says {stored_fp:#018x}"),
+        ));
+    }
+    Ok((answers, fp))
 }
 
 /// Map a raw filesystem error to the typed store error, keeping file
@@ -279,29 +431,26 @@ pub fn save_io(io: &dyn StoreIo, pre: &Precomputed<'_>, path: &Path) -> Result<(
     write_image(io, path, &bytes)
 }
 
-/// [`save_io`] with bounded retry: transient failures (a flaky disk, a
-/// momentary `ENOSPC`) back off with deterministic jitter
-/// ([`RetryPolicy::backoff`], slept through [`StoreIo::sleep`]) and try
-/// again; each failed attempt removes its temp file before the next one
-/// starts. Returns the number of attempts used on success; after the
-/// last attempt fails, the final error propagates (temp already cleaned).
-pub fn save_with_retry(
+/// Write any store image crash-safely with bounded retry: transient
+/// failures (a flaky disk, a momentary `ENOSPC`) back off with
+/// deterministic jitter ([`RetryPolicy::backoff`], slept through
+/// [`StoreIo::sleep`]) and try again; each failed attempt removes its temp
+/// file before the next one starts. Returns the number of attempts used
+/// on success; after the last attempt fails, the final error propagates
+/// (temp already cleaned) with the attempt count.
+pub fn write_with_retry(
     io: &dyn StoreIo,
-    pre: &Precomputed<'_>,
     path: &Path,
+    bytes: &[u8],
     policy: &RetryPolicy,
 ) -> std::result::Result<u32, (QagError, u32)> {
-    let bytes = match to_bytes(pre) {
-        Ok(b) => b,
-        Err(e) => return Err((e, 0)),
-    };
     let attempts = policy.attempts.max(1);
     let mut last = None;
     for attempt in 0..attempts {
         if attempt > 0 {
             io.sleep(policy.backoff(attempt - 1));
         }
-        match write_image(io, path, &bytes) {
+        match write_image(io, path, bytes) {
             Ok(()) => return Ok(attempt + 1),
             Err(e) => last = Some(e),
         }
@@ -412,36 +561,7 @@ impl StoreReader {
 
     /// Verify an in-memory store image (magic, version, checksum, header).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self> {
-        if bytes.len() < HEADER_BYTES {
-            return Err(QagError::store(
-                StoreErrorKind::Truncated,
-                format!(
-                    "file is {} bytes, the fixed header alone needs {HEADER_BYTES}",
-                    bytes.len()
-                ),
-            ));
-        }
-        if bytes[..8] != STORE_MAGIC {
-            return Err(QagError::store(
-                StoreErrorKind::BadMagic,
-                "missing QAGPLANE magic; not a plane-store file",
-            ));
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != STORE_VERSION {
-            return Err(QagError::store(
-                StoreErrorKind::UnsupportedVersion,
-                format!("format version {version}, this build reads {STORE_VERSION}"),
-            ));
-        }
-        let stored = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let actual = checksum64(&bytes[HEADER_BYTES..]);
-        if stored != actual {
-            return Err(QagError::store(
-                StoreErrorKind::ChecksumMismatch,
-                format!("stored {stored:#018x}, computed {actual:#018x}"),
-            ));
-        }
+        verify_image(&bytes, &STORE_MAGIC, STORE_VERSION)?;
         let mut r = Reader::new(&bytes[HEADER_BYTES..]);
         let header = Self::read_header(&mut r)?;
         Ok(StoreReader {
@@ -820,7 +940,7 @@ mod tests {
         let io = FaultIo::new();
         io.schedule(1, FaultKind::Enospc); // first attempt's write fails
         let policy = RetryPolicy::default();
-        let attempts = save_with_retry(&io, &pre, &path, &policy).unwrap();
+        let attempts = write_with_retry(&io, &path, &to_bytes(&pre).unwrap(), &policy).unwrap();
         assert_eq!(attempts, 2);
         assert_eq!(io.sleeps().len(), 1, "one backoff sleep between attempts");
         let loaded = load(&path, Arc::new(s.clone())).unwrap();
@@ -842,7 +962,8 @@ mod tests {
             io.schedule(op, FaultKind::Enospc);
         }
         let policy = RetryPolicy::default();
-        let (err, attempts) = save_with_retry(&io, &pre, &path, &policy).unwrap_err();
+        let (err, attempts) =
+            write_with_retry(&io, &path, &to_bytes(&pre).unwrap(), &policy).unwrap_err();
         assert_eq!(attempts, 3);
         assert_eq!(err.store_kind(), Some(StoreErrorKind::Io));
         assert!(!path.exists());
@@ -993,6 +1114,69 @@ mod tests {
         assert_eq!(
             StoreReader::from_bytes(bytes).unwrap_err().store_kind(),
             Some(StoreErrorKind::ChecksumMismatch)
+        );
+    }
+
+    #[test]
+    fn relation_round_trip_is_byte_identical() {
+        let s = answers();
+        let key = 0xfeed_beef;
+        assert_eq!(relation_file_name(key), "relation-00000000feedbeef.qag");
+        let bytes = relation_to_bytes(key, &s);
+        assert_eq!(&bytes[..8], &RELATION_MAGIC);
+        let (back, fp) = relation_from_bytes(&bytes, key).unwrap();
+        assert_eq!(back, s);
+        assert_eq!(fp, s.fingerprint());
+        assert_eq!(relation_to_bytes(key, &back), bytes);
+        // Asked for under another key, the same file is a typed mismatch.
+        let err = relation_from_bytes(&bytes, key + 1).unwrap_err();
+        assert_eq!(err.store_kind(), Some(StoreErrorKind::FingerprintMismatch));
+        // A plane image is not a relation image, and vice versa.
+        let (_, pre) = built();
+        let plane = to_bytes(&pre).unwrap();
+        let err = relation_from_bytes(&plane, key).unwrap_err();
+        assert_eq!(err.store_kind(), Some(StoreErrorKind::BadMagic));
+        let err = StoreReader::from_bytes(bytes).unwrap_err();
+        assert_eq!(err.store_kind(), Some(StoreErrorKind::BadMagic));
+    }
+
+    #[test]
+    fn relation_damage_is_typed_never_a_panic() {
+        let key = 7;
+        let bytes = relation_to_bytes(key, &answers());
+        for len in 0..bytes.len() {
+            let err = relation_from_bytes(&bytes[..len], key).expect_err("strict prefix");
+            assert!(err.store_kind().is_some(), "untyped error at prefix {len}");
+        }
+        for pos in HEADER_BYTES..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[pos] ^= 0x04;
+            assert_eq!(
+                relation_from_bytes(&flipped, key).unwrap_err().store_kind(),
+                Some(StoreErrorKind::ChecksumMismatch),
+                "flip at {pos}"
+            );
+        }
+        // Re-sealed damage gets past the checksum and must still be caught:
+        // a code outside its domain (the first code follows the strings).
+        let s = answers();
+        let codes_at = bytes.len() - s.len() * 8 - s.codes().len() * 4;
+        let mut bad = bytes.clone();
+        bad[codes_at] = 0xff;
+        let sum = checksum64(&bad[HEADER_BYTES..]);
+        bad[12..20].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            relation_from_bytes(&bad, key).unwrap_err().store_kind(),
+            Some(StoreErrorKind::Corrupt)
+        );
+        // ... and trailing bytes after the section.
+        let mut long = bytes;
+        long.push(0);
+        let sum = checksum64(&long[HEADER_BYTES..]);
+        long[12..20].copy_from_slice(&sum.to_le_bytes());
+        assert_eq!(
+            relation_from_bytes(&long, key).unwrap_err().store_kind(),
+            Some(StoreErrorKind::Corrupt)
         );
     }
 

@@ -15,12 +15,13 @@
 //! 3. after the fault clears (`reboot` for crash kinds), a fresh engine
 //!    over the surviving directory still serves the baseline views.
 //!
-//! The crash matrix test drives the atomic write path specifically: a
-//! kill at every crash point must leave the complete old file, the
-//! complete new file, or a clean probe miss — never a partial read.
+//! The crash matrix tests drive the atomic write path specifically, once
+//! per store file kind (plane sets and answer relations): a kill at every
+//! crash point must leave the complete old file, the complete new file, or
+//! a clean probe miss — never a partial read.
 
-use qagview_common::io::ALL_FAULT_KINDS;
-use qagview_common::{FaultIo, FaultKind, FaultPlan, FxHasher, StoreErrorKind};
+use qagview_common::io::{RetryPolicy, ALL_FAULT_KINDS};
+use qagview_common::{FaultIo, FaultKind, FaultPlan, FxHasher, QagError};
 use qagview_interactive::{
     store, ExploreCommand, ExploreResponse, ExploreSession, Explorer, ExplorerConfig,
     PrecomputeConfig, Precomputed, StoreReader,
@@ -124,9 +125,11 @@ fn engine_over(io: &Arc<FaultIo>, dir: &Path, catalog: Arc<Catalog>) -> Arc<Expl
 }
 
 /// Run the canonical save→load→explore script and return the digest of
-/// every response in order. The script covers: cold build + write-back,
-/// a warm memory tick, then a second "process" that warm-starts from the
-/// store (orphan sweep, probe read, recency touch) and ticks again.
+/// every response in order. The script covers: cold scan + build and the
+/// write-back of both file kinds, a warm memory tick, then a second
+/// "process" that warm-starts from the store (orphan sweep, relation and
+/// plane probe reads, recency touches), ticks, and moves the threshold to
+/// a new relation (relation probe miss, scan, relation write-back).
 fn run_script(io: &Arc<FaultIo>, dir: &Path, catalog: &Arc<Catalog>) -> Vec<u64> {
     let mut digests = Vec::new();
     let engine1 = engine_over(io, dir, Arc::clone(catalog));
@@ -144,6 +147,7 @@ fn run_script(io: &Arc<FaultIo>, dir: &Path, catalog: &Arc<Catalog>) -> Vec<u64>
     for cmd in [
         ExploreCommand::SetQuery(SQL.into()),
         ExploreCommand::SetK(3),
+        ExploreCommand::SetThreshold(1.0),
     ] {
         let r = s2.apply(cmd).expect("store faults must not fail commands");
         digests.push(digest(&r));
@@ -244,19 +248,22 @@ fn answers() -> Arc<qagview_lattice::AnswerSet> {
     Arc::new(b.finish().unwrap())
 }
 
-/// The write-back crash matrix: kill at every crash point of the atomic
-/// save (pre-temp, mid-temp, pre-rename at sync, pre-rename at rename,
-/// post-rename), with and without a pre-existing old file. A reopen must
-/// see the complete old image, the complete new image, or a clean probe
-/// miss — never a torn read — and the orphan sweep must leave no temp
-/// debris behind.
-#[test]
-fn crash_matrix_never_exposes_a_partial_file() {
-    let ans = answers();
-    let old_image = built_plane(&ans, 6);
-    let new_image = built_plane(&ans, 8);
+/// The write-back crash matrix of one file kind: kill at every crash
+/// point of the atomic save (pre-temp, mid-temp, pre-rename at sync,
+/// pre-rename at rename, post-rename), with and without a pre-existing old
+/// file. `save` writes `new_image` to the path through the faulty I/O;
+/// `reads_back` is the kind's validating decoder. A reopen must see the
+/// complete old image, the complete new image, or a clean probe miss —
+/// never a torn read — and the orphan sweep must leave no temp debris.
+fn crash_matrix(
+    kind_tag: &str,
+    file_name: &str,
+    old_image: &[u8],
+    new_image: &[u8],
+    save: &dyn Fn(&FaultIo, &Path) -> Result<(), QagError>,
+    reads_back: &dyn Fn(Vec<u8>) -> Result<(), QagError>,
+) {
     assert_ne!(old_image, new_image, "matrix needs two distinct images");
-
     // Save ops are create_temp(0), write(1), sync(2), rename(3).
     let crash_points: &[(u64, FaultKind, &str)] = &[
         (0, FaultKind::Crash, "pre-temp"),
@@ -267,31 +274,19 @@ fn crash_matrix_never_exposes_a_partial_file() {
     ];
     for with_old_file in [false, true] {
         for &(at_op, kind, label) in crash_points {
-            let dir = temp_dir(&format!("crash-{at_op}-{kind}-{with_old_file}"));
-            let path = dir.join("plane-under-test.qag");
+            let label = format!("{kind_tag} {label}");
+            let dir = temp_dir(&format!("crash-{kind_tag}-{at_op}-{kind}-{with_old_file}"));
+            let path = dir.join(file_name);
             if with_old_file {
-                std::fs::write(&path, &old_image).unwrap();
+                std::fs::write(&path, old_image).unwrap();
             }
             let io = Arc::new(FaultIo::with_plan(vec![FaultPlan { at_op, kind }]));
-            let pre = {
-                let cfg = PrecomputeConfig {
-                    k_min: 1,
-                    k_max: 8,
-                    d_min: 0,
-                    d_max: ans.arity(),
-                    parallel: false,
-                    ..Default::default()
-                };
-                Precomputed::build(Arc::clone(&ans), 5, cfg).unwrap()
-            };
-            let result = store::save_io(io.as_ref(), &pre, &path);
-            match kind {
-                FaultKind::CrashAfter => {
-                    // The op applied; only the acknowledgement was lost.
-                    assert!(result.is_err(), "{label}: caller still sees a failure");
-                }
-                _ => assert!(result.is_err(), "{label}: crash must surface as an error"),
-            }
+            // CrashAfter: the op applied; only the acknowledgement was
+            // lost, so the caller still sees a failure.
+            assert!(
+                save(io.as_ref(), &path).is_err(),
+                "{label}: crash must surface as an error"
+            );
 
             // "Reboot" and inspect what a next process finds.
             io.reboot();
@@ -304,13 +299,14 @@ fn crash_matrix_never_exposes_a_partial_file() {
                 files.iter().all(|p| !p.to_string_lossy().contains(".tmp.")),
                 "{label}: temp debris survived the sweep (removed {swept}): {files:?}"
             );
-            match StoreReader::open(&path) {
-                Ok(_) => {
-                    let on_disk = std::fs::read(&path).unwrap();
+            match std::fs::read(&path) {
+                Ok(on_disk) => {
                     assert!(
                         on_disk == old_image || on_disk == new_image,
                         "{label}: readable file is neither the old nor the new image"
                     );
+                    reads_back(on_disk.clone())
+                        .unwrap_or_else(|e| panic!("{label}: a whole image must decode: {e}"));
                     if kind == FaultKind::CrashAfter {
                         assert_eq!(on_disk, new_image, "{label}: rename happened");
                     } else if with_old_file {
@@ -319,8 +315,8 @@ fn crash_matrix_never_exposes_a_partial_file() {
                 }
                 Err(e) => {
                     assert_eq!(
-                        e.store_kind(),
-                        Some(StoreErrorKind::NotFound),
+                        e.kind(),
+                        std::io::ErrorKind::NotFound,
                         "{label}: unreadable file must be a clean miss, got {e}"
                     );
                     assert!(
@@ -332,6 +328,58 @@ fn crash_matrix_never_exposes_a_partial_file() {
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
+}
+
+#[test]
+fn crash_matrix_never_exposes_a_partial_file() {
+    let ans = answers();
+    let old_image = built_plane(&ans, 6);
+    let new_image = built_plane(&ans, 8);
+    let pre = {
+        let cfg = PrecomputeConfig {
+            k_min: 1,
+            k_max: 8,
+            d_min: 0,
+            d_max: ans.arity(),
+            parallel: false,
+            ..Default::default()
+        };
+        Precomputed::build(Arc::clone(&ans), 5, cfg).unwrap()
+    };
+    assert_eq!(store::to_bytes(&pre).unwrap(), new_image);
+    crash_matrix(
+        "plane",
+        "plane-under-test.qag",
+        &old_image,
+        &new_image,
+        &|io, path| store::save_io(io, &pre, path),
+        &|bytes| StoreReader::from_bytes(bytes).map(|_| ()),
+    );
+}
+
+#[test]
+fn relation_crash_matrix_never_exposes_a_partial_file() {
+    let key = 0x5eed;
+    let old_image = store::relation_to_bytes(key, &answers());
+    let mut b = qagview_lattice::AnswerSetBuilder::new(vec!["a".into(), "b".into()]);
+    b.push(&["x", "p"], 1.5).unwrap();
+    let new_image = store::relation_to_bytes(key, &b.finish().unwrap());
+    let once = RetryPolicy {
+        attempts: 1,
+        ..RetryPolicy::default()
+    };
+    crash_matrix(
+        "relation",
+        &store::relation_file_name(key),
+        &old_image,
+        &new_image,
+        &|io, path| {
+            store::write_with_retry(io, path, &new_image, &once)
+                .map(|_| ())
+                .map_err(|(e, _)| e)
+        },
+        &|bytes| store::relation_from_bytes(&bytes, key).map(|_| ()),
+    );
 }
 
 /// GC under fault: a remove that fails mid-eviction skips the file and

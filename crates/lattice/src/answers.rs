@@ -86,6 +86,17 @@ impl AnswerSet {
         &self.vals
     }
 
+    /// All codes, row-major in rank order: `codes()[t * m + i]` is
+    /// attribute `i` of tuple `t`.
+    pub fn codes(&self) -> &[u32] {
+        &self.codes
+    }
+
+    /// Attribute `i`'s active domain, display text per dense code.
+    pub fn domain(&self, i: usize) -> &[String] {
+        &self.domains[i]
+    }
+
     /// Iterator over `(TupleId, codes, val)` in rank order.
     pub fn iter(&self) -> impl Iterator<Item = (TupleId, &[u32], f64)> {
         (0..self.len() as u32).map(move |t| (t, self.tuple(t), self.val(t)))
@@ -196,6 +207,76 @@ impl AnswerSet {
         for (c, v) in rows {
             codes.extend_from_slice(&c);
             vals.push(v);
+        }
+        Ok(AnswerSet {
+            attr_names,
+            domains,
+            codes,
+            vals,
+            m,
+        })
+    }
+
+    /// Reassemble an answer set from parts that are *already* in rank
+    /// order — row-major `codes` and `vals` exactly as [`AnswerSet::codes`]
+    /// and [`AnswerSet::vals`] hand them out. This is the load path of a
+    /// persisted relation: it validates in one linear pass instead of
+    /// re-sorting and re-hashing every tuple like [`AnswerSet::from_rows`].
+    ///
+    /// Checked: shapes, every code against its domain, no NaN score, and
+    /// the rank order itself (scores non-increasing, equal scores strictly
+    /// ascending by codes — the order `from_rows` produces). The order
+    /// check also rules out duplicates among equal-scored tuples; two equal
+    /// tuples with *different* scores are not detected (the callers verify
+    /// a content fingerprint of what they load instead).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QagError::SchemaMismatch`] naming the first violation.
+    pub fn from_ordered_parts(
+        attr_names: Vec<String>,
+        domains: Vec<Vec<String>>,
+        codes: Vec<u32>,
+        vals: Vec<f64>,
+    ) -> Result<AnswerSet> {
+        let m = attr_names.len();
+        let mismatch = |msg: String| Err(QagError::SchemaMismatch(msg));
+        if domains.len() != m {
+            return mismatch(format!("{} domains for {m} attributes", domains.len()));
+        }
+        if codes.len() != vals.len() * m {
+            return mismatch(format!(
+                "{} codes for {} tuples of arity {m}",
+                codes.len(),
+                vals.len()
+            ));
+        }
+        if m > 0 {
+            for row in codes.chunks_exact(m) {
+                for (i, (&c, domain)) in row.iter().zip(&domains).enumerate() {
+                    if c as usize >= domain.len() {
+                        return mismatch(format!(
+                            "code {c} outside attribute {i}'s domain of {}",
+                            domain.len()
+                        ));
+                    }
+                }
+            }
+        }
+        if vals.iter().any(|v| v.is_nan()) {
+            return mismatch("NaN aggregate score cannot be ranked".to_string());
+        }
+        for t in 1..vals.len() {
+            let ordered = match vals[t - 1].partial_cmp(&vals[t]) {
+                Some(std::cmp::Ordering::Greater) => true,
+                Some(std::cmp::Ordering::Equal) => {
+                    codes[(t - 1) * m..t * m] < codes[t * m..(t + 1) * m]
+                }
+                _ => false,
+            };
+            if !ordered {
+                return mismatch(format!("tuples {} and {t} are out of rank order", t - 1));
+            }
         }
         Ok(AnswerSet {
             attr_names,
@@ -471,6 +552,55 @@ mod tests {
         .unwrap();
         assert_eq!(built, rebuilt);
         assert_eq!(built.fingerprint(), rebuilt.fingerprint());
+    }
+
+    #[test]
+    fn from_ordered_parts_round_trips_and_validates_order() {
+        let s = movie_sample();
+        let parts = || {
+            (
+                s.attr_names().to_vec(),
+                (0..s.arity())
+                    .map(|i| s.domain(i).to_vec())
+                    .collect::<Vec<_>>(),
+                s.codes().to_vec(),
+                s.vals().to_vec(),
+            )
+        };
+        let (names, domains, codes, vals) = parts();
+        let rebuilt = AnswerSet::from_ordered_parts(names, domains, codes, vals).unwrap();
+        assert_eq!(rebuilt, s);
+        assert_eq!(rebuilt.fingerprint(), s.fingerprint());
+
+        // Out of rank order.
+        let (names, domains, codes, mut vals) = parts();
+        vals.swap(0, 1);
+        assert!(AnswerSet::from_ordered_parts(names, domains, codes, vals).is_err());
+        // Code outside its domain.
+        let (names, domains, mut codes, vals) = parts();
+        codes[0] = 99;
+        assert!(AnswerSet::from_ordered_parts(names, domains, codes, vals).is_err());
+        // NaN score.
+        let (names, domains, codes, mut vals) = parts();
+        vals[4] = f64::NAN;
+        assert!(AnswerSet::from_ordered_parts(names, domains, codes, vals).is_err());
+        // Shape mismatch.
+        let (names, domains, mut codes, vals) = parts();
+        codes.pop();
+        assert!(AnswerSet::from_ordered_parts(names, domains, codes, vals).is_err());
+
+        // Equal scores must be strictly ascending by codes.
+        let names = vec!["a".to_string()];
+        let domains = vec![vec!["x".to_string(), "y".to_string()]];
+        let tied = |codes: Vec<u32>| {
+            AnswerSet::from_ordered_parts(names.clone(), domains.clone(), codes, vec![1.0, 1.0])
+        };
+        assert!(tied(vec![0, 1]).is_ok());
+        assert!(tied(vec![1, 0]).is_err());
+        assert!(
+            tied(vec![0, 0]).is_err(),
+            "duplicate tuple with an equal score"
+        );
     }
 
     #[test]

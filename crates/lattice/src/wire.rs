@@ -1,5 +1,6 @@
-//! On-disk sections for lattice-level objects: patterns and cluster
-//! coverage.
+//! On-disk sections for lattice-level objects: patterns, cluster
+//! coverage, and whole answer relations ([`put_answers`] /
+//! [`read_answers`], the section of a persisted relation file).
 //!
 //! The persistent precompute store serializes, per candidate cluster that
 //! any `(k, D)` plane references, its pattern codes, its exact coverage
@@ -22,7 +23,7 @@
 //! byte-identical (float accumulation order included) to solutions served
 //! from a live [`CandidateIndex`](crate::CandidateIndex).
 
-use crate::answers::TupleId;
+use crate::answers::{AnswerSet, TupleId};
 use crate::candidates::CandId;
 use crate::pattern::{Pattern, STAR};
 use qagview_common::wire::{self as qwire, Reader, Writer};
@@ -251,6 +252,75 @@ pub fn put_cluster(
     put_coverage(w, n, ids);
 }
 
+/// Upper bound on the arity a persisted answer relation may declare — a
+/// guard against absurd counts in a corrupt file, far above any real
+/// group-by width.
+const MAX_ARITY: usize = 1 << 10;
+
+/// Append a whole answer relation: arity `m` u32, tuple count `n` u64,
+/// the `m` attribute names, each attribute's domain (count u32, then its
+/// display strings in code order), the row-major codes (`n·m` u32) and the
+/// scores (`n` f64 bit patterns), all in rank order.
+pub fn put_answers(w: &mut Writer, answers: &AnswerSet) {
+    let m = answers.arity();
+    w.put_u32(m as u32);
+    w.put_u64(answers.len() as u64);
+    for name in answers.attr_names() {
+        w.put_str_u32(name);
+    }
+    for i in 0..m {
+        let domain = answers.domain(i);
+        w.put_u32(domain.len() as u32);
+        for text in domain {
+            w.put_str_u32(text);
+        }
+    }
+    w.put_u32_slice(answers.codes());
+    for &v in answers.vals() {
+        w.put_f64_bits(v);
+    }
+}
+
+/// Decode a relation written by [`put_answers`] through
+/// [`AnswerSet::from_ordered_parts`]: codes are bounds-checked against
+/// their domains, NaN scores and rank-order violations rejected — all as
+/// typed [`StoreErrorKind::Corrupt`] errors, never a panic.
+pub fn read_answers(r: &mut Reader<'_>) -> Result<AnswerSet> {
+    let m = r.read_count(MAX_ARITY, "attribute")?;
+    let n = r.read_u64()?;
+    // Every tuple needs at least its 8 score bytes: a count the rest of
+    // the section cannot hold is corrupt, and must fail before allocating.
+    if n > (r.remaining() / 8) as u64 {
+        return Err(QagError::store(
+            StoreErrorKind::Corrupt,
+            format!(
+                "tuple count {n} exceeds what {} bytes can hold",
+                r.remaining()
+            ),
+        ));
+    }
+    let n = n as usize;
+    let attr_names = (0..m)
+        .map(|_| r.read_str_u32())
+        .collect::<Result<Vec<_>>>()?;
+    let mut domains = Vec::with_capacity(m);
+    for _ in 0..m {
+        let size = r.read_count(r.remaining() / 4, "domain value")?;
+        domains.push(
+            (0..size)
+                .map(|_| r.read_str_u32())
+                .collect::<Result<Vec<_>>>()?,
+        );
+    }
+    let codes = r.read_u32_vec(n * m)?;
+    let vals = qwire::decode_u64_le(r.read_bytes(n * 8)?)
+        .into_iter()
+        .map(f64::from_bits)
+        .collect();
+    AnswerSet::from_ordered_parts(attr_names, domains, codes, vals)
+        .map_err(|e| QagError::store(StoreErrorKind::Corrupt, e.to_string()))
+}
+
 /// The cluster directory of a loaded store: every candidate id any plane
 /// references, with pattern/sum decoded and coverage kept lazy.
 #[derive(Debug)]
@@ -342,6 +412,38 @@ mod tests {
         let s = b.finish().unwrap();
         let idx = CandidateIndex::build(&s, s.len()).unwrap();
         (s, idx)
+    }
+
+    #[test]
+    fn answers_round_trip_and_reject_bad_content() {
+        let (s, _) = sample_index();
+        let mut w = Writer::new();
+        put_answers(&mut w, &s);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        let back = read_answers(&mut r).unwrap();
+        assert!(r.is_exhausted());
+        assert_eq!(back, s);
+        assert_eq!(back.fingerprint(), s.fingerprint());
+        // Every strict prefix fails typed, never panics.
+        for len in 0..bytes.len() {
+            let err = read_answers(&mut Reader::new(&bytes[..len])).unwrap_err();
+            assert!(err.store_kind().is_some(), "untyped error at prefix {len}");
+        }
+        // A code bumped past its domain is a typed corruption. The codes
+        // start right after the header and strings; the first code is
+        // tuple 0's attribute 0.
+        let codes_at = bytes.len() - s.len() * 8 - s.codes().len() * 4;
+        let mut bad = bytes.clone();
+        bad[codes_at] = 0xee;
+        let err = read_answers(&mut Reader::new(&bad)).unwrap_err();
+        assert_eq!(err.store_kind(), Some(StoreErrorKind::Corrupt));
+        // A NaN score too.
+        let mut bad = bytes;
+        let last = bad.len() - 8;
+        bad[last..].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
+        let err = read_answers(&mut Reader::new(&bad)).unwrap_err();
+        assert_eq!(err.store_kind(), Some(StoreErrorKind::Corrupt));
     }
 
     #[test]

@@ -24,7 +24,7 @@ use qagview_common::wire::checksum64;
 use qagview_common::QagError;
 use qagview_interactive::{
     CacheLayer, CacheOutcome, CacheProvenance, Degradation, ExploreCommand, ExploreResponse,
-    ExploreState, Fidelity, FidelityMode, SummaryView,
+    ExploreState, Fidelity, FidelityMode, StoreFileKind, SummaryView,
 };
 use qagview_lattice::{Pattern, STAR};
 
@@ -35,9 +35,13 @@ use qagview_lattice::{Pattern, STAR};
 /// * **v2** — progressive mode: responses carry a top-level `"fidelity"`
 ///   object and the view's state/summary gained `fidelity` fields; new
 ///   commands `set_fidelity` and `await_exact`; session creation accepts
-///   a `"fidelity"` field. Parsing stays field-tolerant in both
-///   directions, so a v1-shaped client that ignores unknown fields keeps
-///   working against exact-mode sessions (see the compat tests).
+///   a `"fidelity"` field. Later v2 additions are optional provenance
+///   fields only: `answers_store` (the store's relation tier, `null` when
+///   not consulted), the `"skipped"` value of `group_phase` (the relation
+///   was served without a scan), and the `store_file_rejected`
+///   degradation. Parsing stays field-tolerant in both directions, so a
+///   v1-shaped client that ignores unknown fields keeps working against
+///   exact-mode sessions (see the compat tests).
 pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Every way a request can be refused, with its HTTP status and a stable
@@ -446,7 +450,19 @@ fn outcome_str(o: CacheOutcome) -> &'static str {
     match o {
         CacheOutcome::Hit => "hit",
         CacheOutcome::Miss => "miss",
+        CacheOutcome::Skipped => "skipped",
     }
+}
+
+fn store_file_str(kind: StoreFileKind) -> &'static str {
+    match kind {
+        StoreFileKind::Answers => "answers",
+        StoreFileKind::Plane => "plane",
+    }
+}
+
+fn optional_outcome(o: Option<CacheOutcome>) -> Json {
+    o.map_or(Json::Null, |o| Json::from(outcome_str(o)))
 }
 
 fn layer_str(layer: CacheLayer) -> &'static str {
@@ -468,6 +484,11 @@ fn degradation_json(d: &Degradation) -> Json {
         Degradation::StoreWriteBackDropped { attempts } => Json::obj([
             ("kind", Json::from("store_write_back_dropped")),
             ("attempts", Json::from(u64::from(*attempts))),
+        ]),
+        Degradation::StoreFileRejected { file, error } => Json::obj([
+            ("kind", Json::from("store_file_rejected")),
+            ("file", Json::from(store_file_str(*file))),
+            ("error", Json::from(error.to_string())),
         ]),
         Degradation::PlaneShed { needed, budget } => Json::obj([
             ("kind", Json::from("plane_shed")),
@@ -492,17 +513,10 @@ pub fn provenance_json(p: &CacheProvenance, restored: bool) -> Json {
     Json::obj([
         ("group_phase", Json::from(outcome_str(p.group_phase))),
         ("answers", Json::from(outcome_str(p.answers))),
+        ("answers_store", optional_outcome(p.answers_store)),
         ("plane", Json::from(outcome_str(p.plane))),
-        (
-            "plane_store",
-            p.plane_store
-                .map_or(Json::Null, |o| Json::from(outcome_str(o))),
-        ),
-        (
-            "summarizer",
-            p.summarizer
-                .map_or(Json::Null, |o| Json::from(outcome_str(o))),
-        ),
+        ("plane_store", optional_outcome(p.plane_store)),
+        ("summarizer", optional_outcome(p.summarizer)),
         (
             "degradations",
             Json::Arr(p.degradations.iter().map(degradation_json).collect()),

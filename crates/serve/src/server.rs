@@ -361,6 +361,13 @@ fn engine_stats_json(stats: &ExplorerStats) -> Json {
             ("entries", Json::from(l.entries)),
         ])
     };
+    let store_kind = |k: &qagview_interactive::StoreKindStats| {
+        Json::obj([
+            ("loads", Json::from(k.loads)),
+            ("probe_misses", Json::from(k.probe_misses)),
+            ("writes", Json::from(k.writes)),
+        ])
+    };
     Json::obj([
         ("group_phase", layer(&stats.group_phase)),
         ("answers", layer(&stats.answers)),
@@ -369,9 +376,8 @@ fn engine_stats_json(stats: &ExplorerStats) -> Json {
         (
             "store",
             Json::obj([
-                ("loads", Json::from(stats.store.loads)),
-                ("probe_misses", Json::from(stats.store.probe_misses)),
-                ("writes", Json::from(stats.store.writes)),
+                ("answers", store_kind(&stats.store.answers)),
+                ("planes", store_kind(&stats.store.planes)),
                 ("write_errors", Json::from(stats.store.write_errors)),
                 ("retries", Json::from(stats.store.retries)),
                 ("gc_evictions", Json::from(stats.store.gc_evictions)),

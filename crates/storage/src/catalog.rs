@@ -14,6 +14,20 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TableId(pub u64);
 
+/// One registered table as the engine resolves it: its in-memory
+/// identity, the shared table, and its content fingerprint.
+#[derive(Debug, Clone)]
+pub struct RegisteredTable {
+    /// The registration's stable in-memory id.
+    pub id: TableId,
+    /// The table itself.
+    pub table: Arc<Table>,
+    /// [`Table::content_fingerprint`], computed once at registration. Unlike
+    /// the id it survives a process restart, so results persisted across
+    /// processes are keyed by it.
+    pub fingerprint: u64,
+}
+
 /// The query engine's `FROM`-clause resolver: a case-insensitive mapping
 /// from table names to shared, immutable tables.
 ///
@@ -22,7 +36,7 @@ pub struct TableId(pub u64);
 /// mutations.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    tables: FxHashMap<String, (TableId, Arc<Table>)>,
+    tables: FxHashMap<String, RegisteredTable>,
     next_id: u64,
 }
 
@@ -39,7 +53,9 @@ impl Catalog {
         self.register_shared(name, Arc::new(table))
     }
 
-    /// [`Catalog::register`] for a table that is already shared.
+    /// [`Catalog::register`] for a table that is already shared. This is
+    /// where the table's content fingerprint is computed — once, here,
+    /// never per query.
     pub fn register_shared(
         &mut self,
         name: impl Into<String>,
@@ -47,30 +63,36 @@ impl Catalog {
     ) -> Option<Arc<Table>> {
         let id = TableId(self.next_id);
         self.next_id += 1;
+        let fingerprint = table.content_fingerprint();
         self.tables
-            .insert(name.into().to_ascii_lowercase(), (id, table))
-            .map(|(_, t)| t)
+            .insert(
+                name.into().to_ascii_lowercase(),
+                RegisteredTable {
+                    id,
+                    table,
+                    fingerprint,
+                },
+            )
+            .map(|r| r.table)
     }
 
     /// Look up a table by name.
     pub fn get(&self, name: &str) -> Option<&Table> {
         self.tables
             .get(&name.to_ascii_lowercase())
-            .map(|(_, t)| &**t)
+            .map(|r| &*r.table)
     }
 
     /// Look up a table together with its stable id, sharing ownership.
     pub fn get_shared(&self, name: &str) -> Option<(TableId, Arc<Table>)> {
         self.tables
             .get(&name.to_ascii_lowercase())
-            .map(|(id, t)| (*id, Arc::clone(t)))
+            .map(|r| (r.id, Arc::clone(&r.table)))
     }
 
     /// The stable id of a registered table, if any.
     pub fn id_of(&self, name: &str) -> Option<TableId> {
-        self.tables
-            .get(&name.to_ascii_lowercase())
-            .map(|(id, _)| *id)
+        self.tables.get(&name.to_ascii_lowercase()).map(|r| r.id)
     }
 
     /// Look up a table, or produce a binding error naming it.
@@ -82,6 +104,15 @@ impl Catalog {
     /// [`Catalog::get_shared`], or a binding error naming the table.
     pub fn require_shared(&self, name: &str) -> Result<(TableId, Arc<Table>)> {
         self.get_shared(name)
+            .ok_or_else(|| QagError::Binding(format!("unknown table `{name}`")))
+    }
+
+    /// The full registration of a table (id, table, content fingerprint),
+    /// or a binding error naming it.
+    pub fn require_registered(&self, name: &str) -> Result<RegisteredTable> {
+        self.tables
+            .get(&name.to_ascii_lowercase())
+            .cloned()
             .ok_or_else(|| QagError::Binding(format!("unknown table `{name}`")))
     }
 
@@ -154,6 +185,20 @@ mod tests {
         assert_ne!(a, a2);
         assert_ne!(b, a2);
         assert_eq!(c.id_of("b"), Some(b), "unrelated entries keep their id");
+    }
+
+    #[test]
+    fn registration_fingerprints_content_and_ids_stay_fresh() {
+        let mut c = Catalog::new();
+        c.register("t", tiny_table());
+        let first = c.require_registered("T").unwrap();
+        assert_eq!(first.fingerprint, tiny_table().content_fingerprint());
+        // Same content under the same name: a fresh id, the same fingerprint.
+        c.register("t", tiny_table());
+        let second = c.require_registered("t").unwrap();
+        assert_ne!(first.id, second.id);
+        assert_eq!(first.fingerprint, second.fingerprint);
+        assert!(c.require_registered("missing").is_err());
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod schema;
 pub mod selection;
 pub mod table;
 
-pub use catalog::{Catalog, TableId};
+pub use catalog::{Catalog, RegisteredTable, TableId};
 pub use column::Column;
 pub use csv::load_csv;
 pub use raw::RawTable;

@@ -2,6 +2,7 @@
 
 use crate::column::Column;
 use crate::schema::{ColumnType, Schema};
+use qagview_common::wire::Checksum64;
 use qagview_common::{Interner, QagError, Result, Symbol, Value};
 
 /// A cell value supplied when building a table row.
@@ -108,6 +109,58 @@ impl Table {
     /// a literal absent from the interner cannot match any row.
     pub fn symbol_of(&self, s: &str) -> Option<Symbol> {
         self.interner.get(s)
+    }
+
+    /// A deterministic fingerprint of the table's *content*: the schema
+    /// (names and types), every column's typed values, and the interner's
+    /// strings in symbol order. Two tables with equal fingerprints hold
+    /// (collisions aside) the same rows under the same symbol coding, so
+    /// every query result over them is byte-identical — which is what lets
+    /// a result persisted by one process be reused by another. One linear
+    /// [`Checksum64`] pass over the column bytes; [`crate::Catalog`] runs
+    /// it once per registration.
+    pub fn content_fingerprint(&self) -> u64 {
+        fn put_str(h: &mut Checksum64, s: &str) {
+            h.update(&(s.len() as u64).to_le_bytes());
+            h.update(s.as_bytes());
+        }
+        let mut h = Checksum64::new();
+        h.update(&(self.rows as u64).to_le_bytes());
+        h.update(&(self.schema.arity() as u64).to_le_bytes());
+        for def in self.schema.columns() {
+            put_str(&mut h, &def.name);
+            put_str(&mut h, def.ty.name());
+        }
+        for column in &self.columns {
+            match column {
+                Column::Int(v) => checksum_values(&mut h, v, |x| x.to_le_bytes()),
+                Column::Float(v) => checksum_values(&mut h, v, |x| x.to_bits().to_le_bytes()),
+                Column::Str(v) => checksum_values(&mut h, v, |x| x.0.to_le_bytes()),
+                Column::Bool(v) => checksum_values(&mut h, v, |&x| [u8::from(x)]),
+            }
+        }
+        h.update(&(self.interner.len() as u64).to_le_bytes());
+        for (_, s) in self.interner.iter() {
+            put_str(&mut h, s);
+        }
+        h.finish()
+    }
+}
+
+/// Feed a typed value run to `h` as little-endian bytes, staged through a
+/// fixed stack buffer so no column is ever copied out whole.
+fn checksum_values<T, const W: usize>(
+    h: &mut Checksum64,
+    values: &[T],
+    bytes: impl Fn(&T) -> [u8; W],
+) {
+    const STAGE: usize = 4096;
+    let mut stage = [0u8; STAGE];
+    for chunk in values.chunks(STAGE / W) {
+        for (dst, v) in stage.chunks_exact_mut(W).zip(chunk) {
+            dst.copy_from_slice(&bytes(v));
+        }
+        h.update(&stage[..chunk.len() * W]);
     }
 }
 
@@ -301,6 +354,64 @@ mod tests {
         assert!(err.to_string().contains("gender"));
         let t = b.finish();
         assert_eq!(t.column(0).len(), 0, "partial row must not be visible");
+    }
+
+    #[test]
+    fn content_fingerprint_follows_content_not_identity() {
+        let build = |rating: f64, gender: &str| {
+            let mut b = TableBuilder::new(schema());
+            b.push_row(vec![
+                Cell::Int(1975),
+                "M".into(),
+                Cell::Float(4.0),
+                true.into(),
+            ])
+            .unwrap();
+            b.push_row(vec![
+                Cell::Int(1980),
+                gender.into(),
+                Cell::Float(rating),
+                false.into(),
+            ])
+            .unwrap();
+            b.finish()
+        };
+        let base = build(3.5, "F").content_fingerprint();
+        assert_eq!(base, build(3.5, "F").content_fingerprint(), "deterministic");
+        assert_eq!(base, build(3.5, "F").clone().content_fingerprint());
+        // One changed cell of any type changes it.
+        assert_ne!(base, build(3.25, "F").content_fingerprint());
+        assert_ne!(base, build(-0.0, "F").content_fingerprint());
+        assert_ne!(
+            build(0.0, "F").content_fingerprint(),
+            build(-0.0, "F").content_fingerprint()
+        );
+        // Same symbol codes, different string behind the new symbol.
+        assert_ne!(base, build(3.5, "X").content_fingerprint());
+        // A renamed column with identical data changes it too.
+        let renamed = Schema::from_pairs(&[
+            ("hdec", ColumnType::Int),
+            ("sex", ColumnType::Str),
+            ("rating", ColumnType::Float),
+            ("adventure", ColumnType::Bool),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new(renamed);
+        b.push_row(vec![
+            Cell::Int(1975),
+            "M".into(),
+            Cell::Float(4.0),
+            true.into(),
+        ])
+        .unwrap();
+        b.push_row(vec![
+            Cell::Int(1980),
+            "F".into(),
+            Cell::Float(3.5),
+            false.into(),
+        ])
+        .unwrap();
+        assert_ne!(base, b.finish().content_fingerprint());
     }
 
     #[test]

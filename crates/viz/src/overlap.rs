@@ -2,6 +2,7 @@
 
 use qagview_core::Solution;
 use qagview_lattice::AnswerSet;
+use std::cell::RefCell;
 
 /// A transition from an old solution (`left`) to a new one (`right`):
 /// cluster sizes, top-`L` content, and the pairwise overlap counts `m_ij`
@@ -51,17 +52,11 @@ impl Transition {
             .iter()
             .map(|c| count_top(&c.members))
             .collect();
-        let overlaps = left
-            .clusters
-            .iter()
-            .map(|a| {
-                right
-                    .clusters
-                    .iter()
-                    .map(|b| sorted_intersection_len(&a.members, &b.members))
-                    .collect()
-            })
-            .collect();
+        let overlaps = if merge_steps(left, right) <= mask_steps(left, right) {
+            pairwise_overlaps(left, right)
+        } else {
+            masked_overlaps(left, right)
+        };
         Transition {
             left_labels,
             right_labels,
@@ -97,27 +92,149 @@ impl Transition {
     }
 }
 
-/// Length of the intersection of two ascending-sorted id lists.
-fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
-    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                n += 1;
-                i += 1;
-                j += 1;
+thread_local! {
+    /// Per-thread left-cluster masks, all zero between calls: a tick
+    /// reuses the buffer instead of allocating (and faulting in) an
+    /// `n`-word array per transition.
+    static MASKS: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The list steps [`pairwise_overlaps`] takes: each merge walks both
+/// lists only up to where the first of them ends. Two binary searches per
+/// pair.
+fn merge_steps(left: &Solution, right: &Solution) -> usize {
+    let walked = |a: &[u32], b: &[u32]| match (a.last(), b.last()) {
+        (Some(&x), Some(&y)) => a.partition_point(|&t| t <= y) + b.partition_point(|&t| t <= x),
+        _ => 0,
+    };
+    left.clusters
+        .iter()
+        .flat_map(|a| {
+            right
+                .clusters
+                .iter()
+                .map(|b| walked(&a.members, &b.members))
+        })
+        .sum()
+}
+
+/// The member visits [`masked_overlaps`] makes: mark and clear every left
+/// member, walk every right one.
+fn mask_steps(left: &Solution, right: &Solution) -> usize {
+    let members = |s: &Solution| s.clusters.iter().map(|c| c.members.len()).sum::<usize>();
+    2 * members(left) + members(right)
+}
+
+/// `m[i][j]` by one sorted-list merge per pair. Cheapest when the pairs'
+/// lists end early or are few — the common tick — but `k²` full merges
+/// when many large clusters span the relation.
+fn pairwise_overlaps(left: &Solution, right: &Solution) -> Vec<Vec<usize>> {
+    let merged = |a: &[u32], b: &[u32]| {
+        let (mut i, mut j, mut n) = (0, 0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].cmp(&b[j]) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => (i, j, n) = (i + 1, j + 1, n + 1),
             }
         }
-    }
-    n
+        n
+    };
+    left.clusters
+        .iter()
+        .map(|a| {
+            right
+                .clusters
+                .iter()
+                .map(|b| merged(&a.members, &b.members))
+                .collect()
+        })
+        .collect()
+}
+
+/// `m[i][j]` in one pass per side, whatever the cluster shapes: every
+/// tuple of a left cluster is marked with a bitmask of the left clusters
+/// holding it (`⌈k/64⌉` words), then each right cluster's members are
+/// walked once, adding to `m[i][j]` per set bit. Cost is the summed member
+/// counts plus the overlaps, independent of the relation size.
+fn masked_overlaps(left: &Solution, right: &Solution) -> Vec<Vec<usize>> {
+    let (kl, kr) = (left.clusters.len(), right.clusters.len());
+    let words = kl.div_ceil(64);
+    // Members are ascending, so each cluster's last one bounds its ids.
+    let n = left
+        .clusters
+        .iter()
+        .filter_map(|c| c.members.last())
+        .map(|&t| t as usize + 1)
+        .max()
+        .unwrap_or(0);
+    // counts[i * kr + j] = m[i][j].
+    let mut counts = vec![0usize; kl * kr];
+    MASKS.with_borrow_mut(|masks| {
+        if masks.len() < n * words {
+            masks.resize(n * words, 0);
+        }
+        let masks = &mut masks[..n * words];
+        for (i, c) in left.clusters.iter().enumerate() {
+            let (word, bit) = (i / 64, 1u64 << (i % 64));
+            for &t in &c.members {
+                masks[t as usize * words + word] |= bit;
+            }
+        }
+        // A right cluster's members mostly come in runs sharing one left
+        // mask (ids are rank-ordered, and so is cluster membership), so
+        // each run is counted once, when it ends.
+        let add = |counts: &mut [usize], mask: &[u64], j: usize, run: usize| {
+            for (w, &word) in mask.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    counts[(w * 64 + bits.trailing_zeros() as usize) * kr + j] += run;
+                    bits &= bits - 1;
+                }
+            }
+        };
+        for (j, c) in right.clusters.iter().enumerate() {
+            let (mut run_at, mut run) = (0, 0);
+            for &t in &c.members {
+                let at = t as usize * words;
+                if at >= masks.len() {
+                    break; // past every left cluster's last member
+                }
+                // A word-wise compare: a slice `==` would call `memcmp`
+                // per member.
+                if run > 0 && (0..words).all(|w| masks[at + w] == masks[run_at + w]) {
+                    run += 1;
+                    continue;
+                }
+                if run > 0 {
+                    add(&mut counts, &masks[run_at..run_at + words], j, run);
+                }
+                (run_at, run) = (at, 1);
+            }
+            if run > 0 {
+                add(&mut counts, &masks[run_at..run_at + words], j, run);
+            }
+        }
+        // Leave the buffer all zero for the next call: every set bit came
+        // from one left cluster's pass, so undoing the passes word by word
+        // clears it.
+        for (i, c) in left.clusters.iter().enumerate() {
+            for &t in &c.members {
+                masks[t as usize * words + i / 64] = 0;
+            }
+        }
+    });
+    counts
+        .chunks(kr.max(1))
+        .take(kl)
+        .map(<[usize]>::to_vec)
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qagview_core::Summarizer;
+    use qagview_core::{SolutionCluster, Summarizer};
     use qagview_lattice::AnswerSetBuilder;
 
     fn answers() -> AnswerSet {
@@ -130,11 +247,35 @@ mod tests {
         b.finish().unwrap()
     }
 
+    fn solution(clusters: &[&[u32]]) -> Solution {
+        Solution {
+            clusters: clusters
+                .iter()
+                .map(|m| SolutionCluster {
+                    pattern: qagview_lattice::Pattern::new(vec![qagview_lattice::STAR]),
+                    members: m.to_vec(),
+                    sum: 0.0,
+                })
+                .collect(),
+            covered: 0,
+            sum: 0.0,
+        }
+    }
+
     #[test]
     fn intersection_helper() {
-        assert_eq!(sorted_intersection_len(&[1, 3, 5], &[2, 3, 5, 9]), 2);
-        assert_eq!(sorted_intersection_len(&[], &[1]), 0);
-        assert_eq!(sorted_intersection_len(&[7], &[7]), 1);
+        let left = solution(&[&[1, 3, 5], &[], &[7]]);
+        let right = solution(&[&[2, 3, 5, 9], &[1], &[7, 8]]);
+        let want = vec![vec![2, 1, 0], vec![0, 0, 0], vec![0, 0, 1]];
+        assert_eq!(pairwise_overlaps(&left, &right), want);
+        assert_eq!(masked_overlaps(&left, &right), want);
+        // The mask buffer is left all zero: a second call agrees.
+        assert_eq!(masked_overlaps(&left, &right), want);
+        assert_eq!(
+            masked_overlaps(&right, &left),
+            pairwise_overlaps(&right, &left)
+        );
+        assert!(masked_overlaps(&solution(&[]), &right).is_empty());
     }
 
     #[test]

@@ -1,10 +1,68 @@
-//! Property tests for the layout optimizer: optimality, permutation
-//! validity, and dominance over the default placement.
+//! Property tests for the layout optimizer (optimality, permutation
+//! validity, dominance over the default placement) and for the overlap
+//! matrix of a transition, checked against pairwise sorted-list merges.
 
 use proptest::prelude::*;
+use qagview_core::{Solution, SolutionCluster};
+use qagview_lattice::{AnswerSetBuilder, Pattern, STAR};
 use qagview_viz::hungarian::{min_cost_assignment, min_cost_assignment_brute};
 use qagview_viz::layout::{band_crossings, optimal_placement, total_distance, Placement};
 use qagview_viz::overlap::Transition;
+
+/// The oracle: length of the intersection of two ascending id lists, by
+/// a plain merge.
+fn sorted_intersection_len(a: &[u32], b: &[u32]) -> usize {
+    let (mut i, mut j, mut n) = (0usize, 0usize, 0usize);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => {
+                n += 1;
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    n
+}
+
+#[test]
+fn oracle_counts_shared_ids() {
+    assert_eq!(sorted_intersection_len(&[1, 3, 5], &[2, 3, 5, 9]), 2);
+    assert_eq!(sorted_intersection_len(&[], &[1]), 0);
+    assert_eq!(sorted_intersection_len(&[7], &[7]), 1);
+}
+
+/// `k` clusters over tuples `0..n`, each keeping a tuple with a per-cluster
+/// density drawn from `seed`; density 0 gives empty clusters.
+fn random_solution(n: usize, k: usize, seed: u64) -> Solution {
+    let mut x = seed | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let clusters = (0..k)
+        .map(|_| {
+            let density = next() % 5; // 0 = empty … 4 = every tuple
+            let members: Vec<u32> = (0..n as u32)
+                .filter(|_| density > 0 && next() % 4 < density)
+                .collect();
+            SolutionCluster {
+                pattern: Pattern::new(vec![STAR]),
+                members,
+                sum: 0.0,
+            }
+        })
+        .collect();
+    Solution {
+        clusters,
+        covered: 0,
+        sum: 0.0,
+    }
+}
 
 fn arb_transition() -> impl Strategy<Value = Transition> {
     (1usize..=5, 1usize..=5).prop_flat_map(|(rows, cols)| {
@@ -93,5 +151,34 @@ proptest! {
         // An upper bound: every band pair crosses at most once.
         let bands = t.bands().len();
         prop_assert!(crossings <= bands * bands.saturating_sub(1) / 2);
+    }
+
+    /// The overlap matrix equals `k²` pairwise sorted-list merges, for `k`
+    /// up to 70 (so the left-cluster masks need two words) and with empty
+    /// clusters on either side.
+    #[test]
+    fn overlap_matrix_equals_pairwise_merges(
+        n in 1usize..200,
+        kl in 0usize..=70,
+        kr in 0usize..=70,
+        seed in 0u64..1_000_000,
+    ) {
+        let mut b = AnswerSetBuilder::new(vec!["a".into()]);
+        b.push(&["x"], 1.0).unwrap();
+        let answers = b.finish().unwrap();
+        let left = random_solution(n, kl, seed);
+        let right = random_solution(n, kr, seed.wrapping_mul(31).wrapping_add(7));
+        let t = Transition::between(&answers, &left, &right, 1);
+        prop_assert_eq!(t.overlaps.len(), kl);
+        for (i, a) in left.clusters.iter().enumerate() {
+            prop_assert_eq!(t.overlaps[i].len(), kr);
+            for (j, b) in right.clusters.iter().enumerate() {
+                prop_assert_eq!(
+                    t.overlaps[i][j],
+                    sorted_intersection_len(&a.members, &b.members),
+                    "cell ({}, {})", i, j
+                );
+            }
+        }
     }
 }

@@ -18,6 +18,7 @@ fn describe(tag: &str, r: &ExploreResponse, elapsed: std::time::Duration) {
     let fmt = |o: CacheOutcome| match o {
         CacheOutcome::Hit => "hit",
         CacheOutcome::Miss => "miss",
+        CacheOutcome::Skipped => "skipped",
     };
     println!(
         "\n== {tag} ({elapsed:?}) — group {}, answers {}, plane {}{}",

@@ -1,8 +1,9 @@
 //! The persistent precompute store, end to end: a first engine pays the
-//! cold `(k, D)` plane build once and writes the `.qag` store back; a
-//! second engine — standing in for a *restarted process* — warm-starts
-//! from the file and serves a byte-identical summary in a fraction of the
-//! time.
+//! cold table scan and `(k, D)` plane build once and writes both the
+//! answer relation and the plane set back as `.qag` files; a second
+//! engine — standing in for a *restarted process* — warm-starts from the
+//! two files without scanning the table, and serves a byte-identical
+//! summary in a fraction of the time.
 //!
 //! ```text
 //! cargo run --release --example persistent_store
@@ -27,12 +28,22 @@ fn engine(catalog: Arc<Catalog>, store_dir: &std::path::Path) -> Arc<Explorer> {
     ))
 }
 
-fn store_outcome(r: &ExploreResponse) -> &'static str {
-    match r.provenance.plane_store {
+fn store_outcome(outcome: Option<CacheOutcome>) -> &'static str {
+    match outcome {
         Some(CacheOutcome::Hit) => "loaded from .qag",
-        Some(CacheOutcome::Miss) => "built cold, written back",
+        Some(_) => "computed cold, written back",
         None => "not consulted",
     }
+}
+
+fn report(what: &str, elapsed: std::time::Duration, r: &ExploreResponse) {
+    let p = &r.provenance;
+    println!(
+        "{what}: {elapsed:?}\n  relation {} (group scan {:?})\n  plane    {}",
+        store_outcome(p.answers_store),
+        p.group_phase,
+        store_outcome(p.plane_store)
+    );
 }
 
 fn main() {
@@ -47,9 +58,10 @@ fn main() {
 
     let dir = std::env::temp_dir().join(format!("qagview-store-example-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create store dir");
-    println!("plane store directory: {}", dir.display());
+    println!("store directory: {}", dir.display());
 
-    // Engine 1: nothing on disk — the plane build runs cold and persists.
+    // Engine 1: nothing on disk — the scan and the plane build run cold
+    // and persist.
     let first = engine(Arc::clone(&catalog), &dir);
     let mut session = first
         .open_session(SessionSpec::default())
@@ -58,11 +70,7 @@ fn main() {
     let cold = session
         .apply(ExploreCommand::SetQuery(SQL.into()))
         .expect("cold open");
-    println!(
-        "\nengine 1 cold open: {:?} — plane store {}",
-        t.elapsed(),
-        store_outcome(&cold)
-    );
+    report("\nengine 1 cold open", t.elapsed(), &cold);
     for entry in std::fs::read_dir(&dir).expect("read store dir").flatten() {
         println!(
             "  wrote {} ({} bytes)",
@@ -72,7 +80,7 @@ fn main() {
     }
 
     // Engine 2: a "restarted process" — same catalog, empty caches. The
-    // plane comes off disk instead of being rebuilt.
+    // relation and the plane come off disk; the table is never scanned.
     let second = engine(Arc::clone(&catalog), &dir);
     let mut session2 = second
         .open_session(SessionSpec::default())
@@ -81,11 +89,7 @@ fn main() {
     let warm = session2
         .apply(ExploreCommand::SetQuery(SQL.into()))
         .expect("warm open");
-    println!(
-        "engine 2 warm start: {:?} — plane store {}",
-        t.elapsed(),
-        store_outcome(&warm)
-    );
+    report("engine 2 warm start", t.elapsed(), &warm);
     assert!(
         cold.same_view(&warm),
         "store-served view must be byte-identical"
@@ -102,10 +106,19 @@ fn main() {
             c.label, c.avg, c.size, c.top_l
         );
     }
-    let stats = second.stats().store;
+    let stats = second.stats();
+    for (kind, k) in [
+        ("relation", stats.store.answers),
+        ("plane", stats.store.planes),
+    ] {
+        println!(
+            "engine 2 {kind} store: loads {}, probe misses {}, writes {}",
+            k.loads, k.probe_misses, k.writes
+        );
+    }
     println!(
-        "\nengine 2 store stats: loads {}, probe misses {}, writes {}",
-        stats.loads, stats.probe_misses, stats.writes
+        "engine 2 group scans: {}",
+        stats.group_phase.hits + stats.group_phase.misses
     );
 
     std::fs::remove_dir_all(&dir).expect("clean up store dir");
