@@ -36,7 +36,8 @@
 //!   100× (N ∈ {50k, 500k, 5M}; streaming datagen, fingerprint-identical
 //!   results asserted before timing). Per-row throughput is recorded per
 //!   point; the parallel arm's throughput is a core-scaling metric and is
-//!   only comparable between runs with equal `threads`;
+//!   only comparable between runs with equal `threads`. An informational
+//!   `auto` arm times `group_aggregate_auto`, the dispatch sessions run;
 //! * **session tick** — end-to-end command latency of the owned
 //!   exploration engine on the same table: a warm `SetThreshold` slider
 //!   tick and a warm `SetK` knob move (median of 21) vs rebuilding the
@@ -64,7 +65,8 @@ use qagview_interactive::{
 };
 use qagview_lattice::{AnswerSet, CandidateIndex};
 use qagview_query::{
-    bind, execute, execute_rows, group_aggregate, group_aggregate_parallel, parse, ParallelConfig,
+    bind, execute, execute_rows, group_aggregate, group_aggregate_auto, group_aggregate_parallel,
+    parse, GroupTable, ParallelConfig, ParallelScanStats,
 };
 use qagview_storage::{Catalog, TableBuilder};
 use std::fmt::Write as _;
@@ -493,12 +495,18 @@ fn bench_store_warm_start(all_ok: &mut bool) -> String {
 }
 
 /// The `n_scaling` section: sequential vs morsel-parallel group phase of
-/// the paper query as the base relation grows 100× (N ∈ {50k, 500k, 5M}).
+/// the paper query as the base relation grows 100× (N ∈ {50k, 500k, 5M}),
+/// plus the dispatching `group_aggregate_auto` that sessions run.
 ///
 /// Each table is materialized through the streaming generator
 /// ([`movielens::iter_rows`]), so generation allocates O(users + movies)
-/// beyond the table itself, and is dropped before the next point. Both
-/// engines are asserted fingerprint-identical before anything is timed.
+/// beyond the table itself, and is dropped before the next point. All
+/// three arms are asserted fingerprint-identical before anything is timed.
+///
+/// `auto_ms`/`auto_mrows_per_s` time what a session's cold open runs (the
+/// direct-indexed scan, for this query). They are informational: the
+/// trajectory gate does not enforce them. The first auto call also builds
+/// the table's cached code tables, so timing starts after it.
 ///
 /// The parallel arm always runs the full morsel + ordered-merge pipeline
 /// (partitions ≥ 2 even on a single-core host), so on 1 CPU its
@@ -539,19 +547,34 @@ fn bench_n_scaling(threads: usize, all_ok: &mut bool) -> String {
             par.result_fingerprint(),
             "parallel group phase diverges from sequential at n={n}"
         );
+        let mut scratch = GroupTable::new(0);
+        let mut scan = ParallelScanStats::default();
+        let auto = group_aggregate_auto(&bound.group, &table, &mut scratch, &mut scan)
+            .expect("auto group phase");
+        assert_eq!(
+            seq.result_fingerprint(),
+            auto.result_fingerprint(),
+            "auto group phase diverges from sequential at n={n}"
+        );
         let groups = seq.num_groups();
-        drop((seq, par));
+        drop((seq, par, auto));
 
         let seq_ms = time_best_ms(reps, || group_aggregate(&bound.group, &table).unwrap());
         let par_ms = time_best_ms(reps, || {
             group_aggregate_parallel(&bound.group, &table, &cfg).unwrap()
         });
+        let auto_ms = time_best_ms(reps, || {
+            group_aggregate_auto(&bound.group, &table, &mut scratch, &mut scan).unwrap()
+        });
         let seq_mrows = rows as f64 / seq_ms / 1e3;
         let par_mrows = rows as f64 / par_ms / 1e3;
+        let auto_mrows = rows as f64 / auto_ms / 1e3;
         eprintln!(
             "n-scaling n={n}: gen {gen_ms:.0} ms, {rows} rows, {groups} groups; \
              seq {seq_ms:.2} ms ({seq_mrows:.1} Mrows/s), \
-             par×{partitions} {par_ms:.2} ms ({par_mrows:.1} Mrows/s)"
+             par×{partitions} {par_ms:.2} ms ({par_mrows:.1} Mrows/s), \
+             auto {auto_ms:.2} ms ({auto_mrows:.1} Mrows/s, {} direct scans)",
+            scan.direct_scans
         );
         // Coarse absolute floor; the trajectory gate owns the tight
         // relative bound against the committed baseline.
@@ -560,12 +583,12 @@ fn bench_n_scaling(threads: usize, all_ok: &mut bool) -> String {
             eprintln!("  WARNING: sequential group phase below 1 Mrows/s at n={n}");
         }
         points.push(format!(
-            r#"      {{ "n": {n}, "rows": {rows}, "groups": {groups}, "gen_ms": {gen_ms:.1}, "seq_ms": {seq_ms:.3}, "par_ms": {par_ms:.3}, "seq_mrows_per_s": {seq_mrows:.2}, "par_mrows_per_s": {par_mrows:.2} }}"#
+            r#"      {{ "n": {n}, "rows": {rows}, "groups": {groups}, "gen_ms": {gen_ms:.1}, "seq_ms": {seq_ms:.3}, "par_ms": {par_ms:.3}, "seq_mrows_per_s": {seq_mrows:.2}, "par_mrows_per_s": {par_mrows:.2}, "auto_ms": {auto_ms:.3}, "auto_mrows_per_s": {auto_mrows:.2} }}"#
         ));
     }
 
     format!(
-        "  \"n_scaling\": {{\n    \"what\": \"sequential vs morsel-parallel group phase of the paper query as N grows 100x; tables stream from the seeded generator and both engines are asserted fingerprint-identical before timing; par_mrows_per_s is core-scaling and only comparable between runs with equal threads\",\n    \"sql\": \"SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable GROUP BY hdec, agegrp, gender, occupation HAVING count(*) > 10 ORDER BY val DESC LIMIT 100\",\n    \"partitions\": {partitions},\n    \"threads\": {threads},\n    \"points\": [\n{}\n    ]\n  }}",
+        "  \"n_scaling\": {{\n    \"what\": \"sequential vs morsel-parallel group phase of the paper query as N grows 100x, plus the dispatching group_aggregate_auto (informational, not gated); tables stream from the seeded generator and all arms are asserted fingerprint-identical before timing; par_mrows_per_s is core-scaling and only comparable between runs with equal threads\",\n    \"sql\": \"SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable GROUP BY hdec, agegrp, gender, occupation HAVING count(*) > 10 ORDER BY val DESC LIMIT 100\",\n    \"partitions\": {partitions},\n    \"threads\": {threads},\n    \"points\": [\n{}\n    ]\n  }}",
         points.join(",\n")
     )
 }

@@ -79,6 +79,9 @@ fn enforced(doc: &Json) -> Vec<(String, f64)> {
             push(format!("plane_build[m={m}].speedup"), wl.get("speedup"));
         }
     }
+    // `auto_ms`/`auto_mrows_per_s` stay informational: they time whichever
+    // path `group_aggregate_auto` dispatches to, which a dispatch change
+    // moves on purpose.
     for p in doc.path("n_scaling.points").map(Json::items).unwrap_or(&[]) {
         if let Some(n) = p.get("n").and_then(Json::as_f64) {
             push(

@@ -349,8 +349,10 @@ pub struct ExplorerStats {
     pub summarizers: LayerStats,
     /// Persistent store tier (the disk backing of layers 2 and 3).
     pub store: StoreLayerStats,
-    /// Morsel-parallel scan counters across every group-phase cache miss
-    /// (all zero while scanned tables stay below the parallel threshold).
+    /// Group-scan path counters across every group-phase cache miss:
+    /// direct-indexed scans, and morsel-parallel scans with their worker
+    /// counters (zero while scans stay direct or below the parallel
+    /// threshold).
     pub scan: ParallelScanStats,
     /// Lock-poison recoveries per layer.
     pub poison: PoisonStats,
@@ -580,8 +582,7 @@ struct GroupPhase {
 struct GroupLayer {
     cache: LruCache<(TableId, u64), Arc<GroupPhase>>,
     scratch: GroupTable,
-    /// Cumulative morsel-parallel scan counters across every cache-miss
-    /// scan (zero while every table stays below the parallel threshold).
+    /// Cumulative group-scan path counters across every cache-miss scan.
     scan_stats: ParallelScanStats,
 }
 

@@ -62,11 +62,10 @@ pub struct QuerySession<'a> {
     catalog: &'a Catalog,
     /// Finished group phases keyed by `(table, GroupSpec fingerprint)`.
     cache: LruCache<(TableId, u64), Arc<GroupedResult>>,
-    /// Reused across cache misses so the group hash table and key arena
-    /// keep their allocations.
+    /// Reused across cache misses so the group hash table, direct slot map
+    /// and key arena keep their allocations.
     scratch: GroupTable,
-    /// Cumulative morsel-parallel scan counters (zero while every table
-    /// stays below the parallel threshold).
+    /// Cumulative group-scan path counters.
     scan_stats: ParallelScanStats,
 }
 
@@ -135,12 +134,12 @@ impl<'a> QuerySession<'a> {
 
     /// How many morsels were served by a worker's pooled scratch (rather
     /// than a fresh allocation) across the session's parallel scans. Zero
-    /// while every scanned table stays below the parallel threshold.
+    /// while every scan takes the direct or the hashed sequential path.
     pub fn scratch_reuses(&self) -> usize {
         self.scan_stats.scratch_reuses as usize
     }
 
-    /// Cumulative morsel-parallel scan counters for the session.
+    /// Cumulative group-scan path counters for the session.
     pub fn scan_stats(&self) -> ParallelScanStats {
         self.scan_stats
     }

@@ -5,12 +5,22 @@
 //! * [`execute`] — the vectorized production path: the scan runs in
 //!   batches of [`BATCH_ROWS`] rows; `WHERE` conjuncts refine a
 //!   [`SelectionVector`] through typed per-column kernels; surviving rows
-//!   have their group keys encoded into fixed-width `u64` lanes and
-//!   assigned dense group ids by a [`crate::group::GroupTable`];
+//!   are assigned dense group ids by a [`crate::group::GroupTable`];
 //!   aggregates accumulate columnarly per group id. The finished group
 //!   phase is a [`GroupedResult`], from which `HAVING`/`ORDER BY`/`LIMIT`
 //!   are derived in `O(groups)` — and which sessions cache so a moved
 //!   threshold never rescans the table.
+//!
+//!   One batch loop serves two *key codecs*, which differ only in how a
+//!   row's group key becomes a group id. The hashed codec
+//!   ([`group_aggregate_with`]) encodes each key into fixed-width `u64`
+//!   lanes, hashes and probes. The direct codec
+//!   ([`group_aggregate_direct_with`]) applies when every group column
+//!   has a dense code table and the key domain is at most
+//!   [`direct_slot_bound`] slots: a row's slot is `Σ code_j · stride_j`
+//!   and its group id is `slot_to_gid[slot]`, with no hashing. Both
+//!   assign ids in first-encounter order and store the same key lanes,
+//!   so their results are byte-identical.
 //! * [`execute_rows`] — the row-at-a-time reference implementation
 //!   (per-row [`Value`] materialization, per-row key vectors). It is kept
 //!   as the differential-testing oracle and the benchmark baseline.
@@ -22,7 +32,7 @@ use crate::group::{
 use crate::plan::{BoundPredicate, BoundQuery, GroupSpec};
 use qagview_common::{FxHashMap, QagError, Result, Value};
 use qagview_storage::selection::{gather_f64, gather_i64_as_f64, SelOp, SelectionVector};
-use qagview_storage::{Column, Table};
+use qagview_storage::{Column, DenseCodes, Table};
 
 /// Rows per scan batch of the vectorized pipeline. Sized so the per-batch
 /// scratch (selection vector, encoded keys, group ids, gathered values)
@@ -226,8 +236,165 @@ pub(crate) fn plan_agg_inputs(spec: &GroupSpec, table: &Table) -> Result<AggInpu
     })
 }
 
+/// Slots per table row the direct key codec may address. Beyond that, the
+/// slot map outgrows the scan it serves, and most of it is never touched.
+const DIRECT_SLOTS_PER_ROW: usize = 4;
+
+/// Slots the direct key codec may always address, however small the table
+/// (a 256 KiB slot map).
+const DIRECT_MIN_SLOTS: usize = 1 << 16;
+
+/// The largest key domain (product of the group columns' code-table
+/// cardinalities) the direct key codec takes on a table of `rows` rows:
+/// four slots per row, and at least 65,536. Tying the bound to the row
+/// count keeps the slot map (4 bytes a slot) in proportion to the table.
+pub fn direct_slot_bound(rows: usize) -> usize {
+    DIRECT_SLOTS_PER_ROW
+        .saturating_mul(rows)
+        .max(DIRECT_MIN_SLOTS)
+}
+
+/// The direct key codec of one query: per group column its dense code
+/// table and stride, so a row's slot is `Σ code_j · stride_j`.
+struct DirectKeys<'t> {
+    /// `(column index, code table, stride)` per group column.
+    lanes: Vec<(usize, &'t DenseCodes, u32)>,
+    num_slots: usize,
+}
+
+impl<'t> DirectKeys<'t> {
+    /// `None` when some group column has no dense code table, or the
+    /// key domain exceeds [`direct_slot_bound`] for the table.
+    fn new(table: &'t Table, group_cols: &[usize]) -> Option<Self> {
+        let bound = direct_slot_bound(table.num_rows()).min(u32::MAX as usize);
+        let mut lanes = Vec::with_capacity(group_cols.len());
+        let mut num_slots = 1usize;
+        for &c in group_cols {
+            let codes = table.dense_codes(c)?;
+            lanes.push((c, codes, num_slots as u32));
+            num_slots = num_slots
+                .checked_mul(codes.card() as usize)
+                .filter(|&n| n <= bound)?;
+        }
+        Some(DirectKeys { lanes, num_slots })
+    }
+
+    /// Write the direct slot of every selected row into `slots`, one
+    /// column at a time.
+    fn slots(
+        &self,
+        table: &Table,
+        sel: &SelectionVector,
+        dense_start: Option<usize>,
+        slots: &mut Vec<u32>,
+    ) {
+        slots.clear();
+        slots.resize(sel.len(), 0);
+        for &(c, codes, stride) in &self.lanes {
+            match (table.column(c), codes) {
+                (Column::Int(v), DenseCodes::Int { min, code_of, .. }) => {
+                    add_slot_lane(v, sel, dense_start, stride, slots, |x| {
+                        code_of[x.wrapping_sub(*min) as usize]
+                    })
+                }
+                (Column::Str(v), DenseCodes::Str { code_of, .. }) => {
+                    add_slot_lane(v, sel, dense_start, stride, slots, |s| {
+                        code_of[s.0 as usize]
+                    })
+                }
+                (Column::Bool(v), DenseCodes::Bool) => {
+                    add_slot_lane(v, sel, dense_start, stride, slots, u32::from)
+                }
+                _ => unreachable!("a code table always matches its column's type"),
+            }
+        }
+    }
+}
+
+/// Add one column's `code · stride` to the slot of every selected row.
+/// Slots stay below the codec's slot count, which fits `u32`.
+fn add_slot_lane<T: Copy>(
+    v: &[T],
+    sel: &SelectionVector,
+    dense_start: Option<usize>,
+    stride: u32,
+    slots: &mut [u32],
+    code: impl Fn(T) -> u32,
+) {
+    match dense_start {
+        Some(start) => {
+            for (s, &x) in slots.iter_mut().zip(&v[start..start + sel.len()]) {
+                *s += code(x) * stride;
+            }
+        }
+        None => {
+            for (s, &r) in slots.iter_mut().zip(sel.rows()) {
+                *s += code(v[r as usize]) * stride;
+            }
+        }
+    }
+}
+
+/// The encoded key lane of `row` in group column `col`: the encodings
+/// [`encode_keys`] writes in bulk, so a group's key is stored alike
+/// whichever codec found it.
+fn key_lane(col: &Column, row: usize) -> u64 {
+    match col {
+        Column::Int(v) => encode_i64(v[row]),
+        Column::Str(v) => u64::from(v[row].0),
+        Column::Bool(v) => u64::from(v[row]),
+        Column::Float(_) => unreachable!("float group keys have no code table"),
+    }
+}
+
+/// How the scan turns the group keys of a batch's selected rows into
+/// group ids. This is all that differs between the two scans; filtering,
+/// counting, accumulation and finishing are shared.
+enum KeyCodec<'t> {
+    /// Encode each key to `u64` lanes, hash, and probe the group table.
+    Hashed { keys: Vec<u64>, hashes: Vec<u64> },
+    /// Compute each row's direct slot and index the group table's slot map.
+    Direct {
+        keys: DirectKeys<'t>,
+        slots: Vec<u32>,
+    },
+}
+
+impl KeyCodec<'_> {
+    fn assign(
+        &mut self,
+        table: &Table,
+        group_cols: &[usize],
+        sel: &SelectionVector,
+        dense_start: Option<usize>,
+        gt: &mut GroupTable,
+        gids: &mut Vec<u32>,
+    ) -> Result<()> {
+        match self {
+            KeyCodec::Hashed { keys, hashes } => {
+                encode_keys(table, group_cols, sel, dense_start, keys, hashes)?;
+                gt.assign(keys, hashes, sel.len(), gids);
+            }
+            // No group columns: one slot, the table's zero-width path.
+            KeyCodec::Direct { keys, .. } if keys.lanes.is_empty() => {
+                gt.assign(&[], &[], sel.len(), gids);
+            }
+            KeyCodec::Direct { keys, slots } => {
+                keys.slots(table, sel, dense_start, slots);
+                gt.assign_direct(keys.num_slots, slots, gids, |i, arena| {
+                    let row = dense_start.map_or_else(|| sel.rows()[i] as usize, |s| s + i);
+                    arena.extend(group_cols.iter().map(|&c| key_lane(table.column(c), row)));
+                });
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Run the group phase of a query — batched filter, group-id assignment,
 /// columnar aggregation — producing the cacheable [`GroupedResult`].
+/// Group ids come from the hashed key codec; this is the oracle the
+/// direct and morsel-parallel scans are tested against.
 pub fn group_aggregate(spec: &GroupSpec, table: &Table) -> Result<GroupedResult> {
     let mut gt = GroupTable::new(spec.group_cols.len());
     group_aggregate_with(spec, table, &mut gt)
@@ -241,13 +408,48 @@ pub fn group_aggregate_with(
     table: &Table,
     gt: &mut GroupTable,
 ) -> Result<GroupedResult> {
+    let codec = KeyCodec::Hashed {
+        keys: Vec::with_capacity(BATCH_ROWS * spec.group_cols.len()),
+        hashes: Vec::with_capacity(BATCH_ROWS),
+    };
+    scan_groups(spec, table, gt, codec)
+}
+
+/// [`group_aggregate_with`] through the direct key codec: each selected
+/// row's group id is read from the group table's slot map at
+/// `Σ code_j · stride_j` over the group columns' dense code tables
+/// ([`Table::dense_codes`]), with no key encoding, hashing or probing.
+/// The result is byte-identical to [`group_aggregate`]. `Ok(None)` when
+/// some group column has no code table (a wide `Int` range) or the key
+/// domain exceeds [`direct_slot_bound`]; nothing is scanned then.
+pub fn group_aggregate_direct_with(
+    spec: &GroupSpec,
+    table: &Table,
+    gt: &mut GroupTable,
+) -> Result<Option<GroupedResult>> {
+    let Some(keys) = DirectKeys::new(table, &spec.group_cols) else {
+        return Ok(None);
+    };
+    let codec = KeyCodec::Direct {
+        keys,
+        slots: Vec::with_capacity(BATCH_ROWS),
+    };
+    scan_groups(spec, table, gt, codec).map(Some)
+}
+
+/// The one batch loop of the sequential group phase, with group ids from
+/// `codec`.
+fn scan_groups(
+    spec: &GroupSpec,
+    table: &Table,
+    gt: &mut GroupTable,
+    mut codec: KeyCodec<'_>,
+) -> Result<GroupedResult> {
     gt.clear(spec.group_cols.len());
     let mut counts = GroupCounts::default();
     let mut acc: Vec<AggColumns> = spec.aggs.iter().map(|_| AggColumns::default()).collect();
 
     let mut sel = SelectionVector::with_capacity(BATCH_ROWS);
-    let mut keys: Vec<u64> = Vec::with_capacity(BATCH_ROWS * spec.group_cols.len());
-    let mut hashes: Vec<u64> = Vec::with_capacity(BATCH_ROWS);
     let mut gids: Vec<u32> = Vec::with_capacity(BATCH_ROWS);
 
     let AggInputs {
@@ -282,15 +484,7 @@ pub fn group_aggregate_with(
         } else {
             None
         };
-        encode_keys(
-            table,
-            &spec.group_cols,
-            &sel,
-            dense_start,
-            &mut keys,
-            &mut hashes,
-        )?;
-        gt.assign(&keys, &hashes, sel.len(), &mut gids);
+        codec.assign(table, &spec.group_cols, &sel, dense_start, gt, &mut gids)?;
 
         // Row counts are shared: every aggregate of the query counts
         // exactly the selected rows (columns are non-nullable).

@@ -63,15 +63,25 @@ pub(crate) fn f64_sort_bits(v: f64) -> u64 {
     }
 }
 
-/// Assigns dense group ids to rows from their encoded group keys.
+/// Assigns dense group ids to rows from their group keys.
 ///
 /// Keys are fixed-width slices of `u64` (one lane per group column, each
 /// lane encoded order-preservingly), so hashing and equality run over
-/// plain machine words regardless of the underlying column types. The
-/// table is a flat open-addressing map whose probes compare directly into
-/// the contiguous key arena — no per-group heap box, no pointer chase.
-/// It is reusable: [`GroupTable::clear`] resets it for another query
-/// while keeping its allocations.
+/// plain machine words regardless of the underlying column types. Ids
+/// come from one of two maps, chosen per query by the scan's key codec:
+///
+/// * [`GroupTable::assign`] — a flat open-addressing hash map whose
+///   probes compare directly into the contiguous key arena (no per-group
+///   heap box, no pointer chase);
+/// * `assign_direct` — a slot map indexed by a row's
+///   direct slot `Σ code_j · stride_j`, for key domains small enough to
+///   address (see [`crate::exec::direct_slot_bound`]). No hashing, no
+///   probing; the key arena is written once per new group.
+///
+/// Either way ids are dense and in first-encounter order, and the key
+/// arena holds the same encoded lanes. The table is reusable:
+/// [`GroupTable::clear`] resets it for another query while keeping its
+/// allocations.
 #[derive(Debug, Default)]
 pub struct GroupTable {
     width: usize,
@@ -80,6 +90,12 @@ pub struct GroupTable {
     /// one array — the key arena is only touched to confirm a hash match.
     slots: Vec<(u64, u32)>,
     mask: usize,
+    /// Direct slot map: `gid + 1` per direct slot, `0` for a slot no row
+    /// has reached. Grown on demand, never shrunk.
+    direct: Vec<u32>,
+    /// The direct slot of each group, in group-id order — the only
+    /// entries of `direct` that [`GroupTable::clear`] has to reset.
+    direct_touched: Vec<u32>,
     /// Encoded keys in group-id order, `width` lanes per group.
     keys: Vec<u64>,
     num_groups: u32,
@@ -117,6 +133,10 @@ impl GroupTable {
     /// allocations of the slot array and key arena.
     pub fn clear(&mut self, width: usize) {
         self.slots.iter_mut().for_each(|s| *s = (0, 0));
+        for &slot in &self.direct_touched {
+            self.direct[slot as usize] = 0;
+        }
+        self.direct_touched.clear();
         self.keys.clear();
         self.num_groups = 0;
         self.width = width;
@@ -185,6 +205,36 @@ impl GroupTable {
             };
             gids.push(gid);
         }
+    }
+
+    /// Assign a group id to each row of a batch from its direct slot
+    /// (`slots[i] < num_slots`), appending new groups in first-encounter
+    /// order. For each new group, `push_key(i, arena)` appends row `i`'s
+    /// encoded key lanes to the key arena — the same lanes the hashed
+    /// path stores, so everything downstream of the ids is shared. Ids
+    /// are written to `gids` (cleared first).
+    pub(crate) fn assign_direct(
+        &mut self,
+        num_slots: usize,
+        slots: &[u32],
+        gids: &mut Vec<u32>,
+        mut push_key: impl FnMut(usize, &mut Vec<u64>),
+    ) {
+        if self.direct.len() < num_slots {
+            self.direct.resize(num_slots, 0);
+        }
+        gids.clear();
+        let direct = &mut self.direct[..num_slots];
+        gids.extend(slots.iter().enumerate().map(|(i, &slot)| {
+            let entry = &mut direct[slot as usize];
+            if *entry == 0 {
+                self.num_groups += 1;
+                *entry = self.num_groups;
+                self.direct_touched.push(slot);
+                push_key(i, &mut self.keys);
+            }
+            *entry - 1
+        }));
     }
 }
 

@@ -23,6 +23,17 @@
 //! output is the paper's answer relation `S`: one row per group with its
 //! display attribute values and score.
 //!
+//! Group ids come from one of two key codecs inside the one batch loop.
+//! The paper's grouping attributes are small categorical domains, so when
+//! the product of the group columns' distinct counts is small (see
+//! [`exec::direct_slot_bound`]) a row's group is read from a slot map at
+//! `Σ code_j · stride_j` over per-column dense code tables
+//! ([`qagview_storage::Table::dense_codes`]); otherwise the key is encoded
+//! to `u64` lanes, hashed and probed. [`parallel::group_aggregate_auto`]
+//! picks the direct codec when it applies, then the morsel-parallel scan
+//! ([`parallel`]) for large tables on multicore hosts, then the hashed
+//! sequential scan. Every path is byte-identical to [`exec::group_aggregate`].
+//!
 //! # Examples
 //!
 //! ```
@@ -61,7 +72,8 @@ pub mod sample;
 
 pub use ast::{AggFunc, CmpOp, Literal, OrderDir, SelectStmt};
 pub use exec::{
-    execute, execute_rows, group_aggregate, group_aggregate_with, QueryOutput, QueryRow,
+    direct_slot_bound, execute, execute_rows, group_aggregate, group_aggregate_direct_with,
+    group_aggregate_with, QueryOutput, QueryRow,
 };
 pub use group::{GroupTable, GroupedResult};
 pub use parallel::{

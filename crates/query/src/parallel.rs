@@ -41,6 +41,17 @@
 //! The merge costs one extra `O(selected rows)` pass and the transient
 //! morsel outputs hold ~`4 + 8·(input columns)` bytes per selected row —
 //! the price of determinism, paid only on the parallel path.
+//!
+//! # When the morsel path runs
+//!
+//! [`group_aggregate_auto`] sends a scan here only when the direct key
+//! codec declines it: some group column has no dense code table, or the
+//! key domain exceeds [`crate::exec::direct_slot_bound`]. The direct
+//! sequential scan beats this path on the paper's categorical group-bys
+//! at every size measured (5M-row MovieLens at m = 3/4/6 and the 288k-row
+//! TPC-DS Fig. 9 query on a 2-vCPU host), because it skips both the key
+//! hashing and the row-by-row merge. What remains here is wide key
+//! domains on tables of at least [`PARALLEL_MIN_ROWS`] rows.
 
 use crate::exec::{apply_predicate, encode_keys, plan_agg_inputs, AggInputs, BATCH_ROWS};
 use crate::group::{fold_hash, AggColumns, GroupCounts, GroupTable, GroupedResult};
@@ -54,9 +65,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// dispatch overhead amortizes while the work queue still load-balances.
 pub const MORSEL_ROWS: usize = 16 * BATCH_ROWS;
 
-/// Row-count threshold below which [`group_aggregate_auto`] stays on the
-/// sequential path: small scans finish in well under a millisecond, where
-/// thread spawn + merge overhead would dominate.
+/// Row-count threshold below which [`group_aggregate_auto`] keeps a
+/// hashed scan sequential. A hashed scan of this many rows takes several
+/// milliseconds (the paper query at m = 3/4/6: 5.7/7.6/13.6 ms on a
+/// 2-vCPU Xeon), and the thread spawns plus the ordered merge eat what a
+/// second core saves (6.8/7.9/13.6 ms morsel-parallel).
 pub const PARALLEL_MIN_ROWS: usize = 4 * MORSEL_ROWS;
 
 /// Configuration of the morsel-parallel scan.
@@ -92,11 +105,14 @@ impl ParallelConfig {
     }
 }
 
-/// Counters from the morsel-parallel scans run so far — the observability
-/// hook for the worker scratch pooling. Counters are cumulative so a
-/// session can expose them across many queries.
+/// Counters from the group scans run so far: which path
+/// [`group_aggregate_auto`] took, and the worker scratch pooling of the
+/// morsel-parallel scans. Counters are cumulative so a session can expose
+/// them across many queries.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelScanStats {
+    /// Scans that took the direct-indexed sequential path.
+    pub direct_scans: u64,
     /// Scans that took the morsel-parallel path.
     pub parallel_scans: u64,
     /// Morsels processed across all parallel scans.
@@ -114,6 +130,7 @@ impl ParallelScanStats {
     /// Add another counter snapshot into this one (sessions fold each
     /// scan's counters into a cumulative total with this).
     pub fn merge(&mut self, other: ParallelScanStats) {
+        self.direct_scans += other.direct_scans;
         self.parallel_scans += other.parallel_scans;
         self.morsels += other.morsels;
         self.workers += other.workers;
@@ -283,7 +300,7 @@ pub fn group_aggregate_parallel_with(
         parallel_scans: 1,
         morsels: num_morsels as u64,
         workers: workers as u64,
-        scratch_reuses: 0,
+        ..ParallelScanStats::default()
     };
 
     // Claim morsels off an atomic queue; each worker collects its outputs
@@ -410,16 +427,30 @@ pub fn group_aggregate_parallel_with(
     )
 }
 
-/// Size-dispatching group phase: the morsel-parallel path for tables of at
-/// least [`PARALLEL_MIN_ROWS`] rows when more than one core is available,
-/// the sequential path otherwise. Output is byte-identical either way;
-/// only the cost model differs.
+/// The dispatching group phase. Output is byte-identical on every path;
+/// only the cost differs.
+///
+/// 1. **Direct**: when every group column has a dense code table and the
+///    key domain fits [`crate::exec::direct_slot_bound`] (four slots per
+///    row), the sequential scan indexes group ids directly — see
+///    [`crate::exec::group_aggregate_direct_with`]. It skips key hashing
+///    and, at any size, the morsel path's row-by-row merge. The paper's
+///    categorical group-bys all land here. Counted in
+///    [`ParallelScanStats::direct_scans`].
+/// 2. **Morsel-parallel**: wider key domains on tables of at least
+///    [`PARALLEL_MIN_ROWS`] rows when more than one core is available.
+/// 3. **Hashed sequential** ([`crate::exec::group_aggregate_with`])
+///    otherwise.
 pub fn group_aggregate_auto(
     spec: &GroupSpec,
     table: &Table,
     gt: &mut GroupTable,
     stats: &mut ParallelScanStats,
 ) -> Result<GroupedResult> {
+    if let Some(grouped) = crate::exec::group_aggregate_direct_with(spec, table, gt)? {
+        stats.direct_scans += 1;
+        return Ok(grouped);
+    }
     let cfg = ParallelConfig::default();
     if table.num_rows() >= PARALLEL_MIN_ROWS && cfg.threads > 1 {
         group_aggregate_parallel_with(spec, table, &cfg, gt, stats)
@@ -431,9 +462,12 @@ pub fn group_aggregate_auto(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_rows, group_aggregate};
+    use crate::exec::{
+        direct_slot_bound, execute_rows, group_aggregate, group_aggregate_direct_with,
+    };
     use crate::parser::parse;
     use crate::plan::bind;
+    use qagview_datagen::movielens::{self, MovieLensConfig};
     use qagview_storage::{Cell, ColumnType, Schema, TableBuilder};
 
     /// The partition counts every invariance test sweeps — 1 degenerates
@@ -458,7 +492,10 @@ mod tests {
     }
 
     /// A random table whose float values exercise non-associativity
-    /// (mixed magnitudes), with occasional NaNs and signed zeros.
+    /// (mixed magnitudes), with occasional NaNs and signed zeros. Key
+    /// columns: `g` (negative `Int`s), `s` and `s2` (`Str`s from the one
+    /// interner, partly overlapping), `flag`, and `e`, whose `i64::MIN` /
+    /// `i64::MAX` range has no dense code table.
     fn random_table(seed: u64, rows: usize) -> Table {
         let schema = Schema::from_pairs(&[
             ("g", ColumnType::Int),
@@ -466,6 +503,8 @@ mod tests {
             ("flag", ColumnType::Bool),
             ("x", ColumnType::Float),
             ("n", ColumnType::Int),
+            ("s2", ColumnType::Str),
+            ("e", ColumnType::Int),
         ])
         .unwrap();
         let mut rng = XorShift(seed.wrapping_mul(0x9e3779b97f4a7c15).max(1));
@@ -483,12 +522,16 @@ mod tests {
                 _ => rng.below(10_000) as f64 / 16.0 - 300.0,
             };
             let n = rng.below(1_000_000) as i64 - 500_000;
+            let s2 = format!("s{}", (g + 11) % 9);
+            let e = if g < 0 { i64::MIN } else { i64::MAX - g };
             b.push_row(vec![
                 Cell::Int(g),
                 s.as_str().into(),
                 flag.into(),
                 Cell::Float(x),
                 Cell::Int(n),
+                s2.as_str().into(),
+                Cell::Int(e),
             ])
             .unwrap();
         }
@@ -500,11 +543,25 @@ mod tests {
     /// and equal `AnswerSet` fingerprints of the derived answer relation
     /// (or the identical error — `AnswerSet` refuses NaN scores by
     /// contract, and the parallel path must refuse them identically).
+    ///
+    /// The direct key codec (where the key domain admits it) and the
+    /// dispatching [`group_aggregate_auto`] are held to the same oracle.
     fn assert_partition_invariant(sql: &str, table: &Table) {
         let bound = bind(&parse(sql).unwrap(), table).unwrap();
         let oracle = group_aggregate(&bound.group, table).unwrap();
         let oracle_fp = oracle.result_fingerprint();
         let oracle_answers = oracle.apply_answers(&bound.output);
+        let mut gt = GroupTable::new(0);
+        if let Some(direct) = group_aggregate_direct_with(&bound.group, table, &mut gt).unwrap() {
+            assert_eq!(
+                direct.result_fingerprint(),
+                oracle_fp,
+                "direct codec, {sql}"
+            );
+        }
+        let mut stats = ParallelScanStats::default();
+        let auto = group_aggregate_auto(&bound.group, table, &mut gt, &mut stats).unwrap();
+        assert_eq!(auto.result_fingerprint(), oracle_fp, "auto dispatch, {sql}");
         for p in PARTITIONS {
             let cfg = ParallelConfig::with_partitions(table.num_rows(), p);
             let par = group_aggregate_parallel(&bound.group, table, &cfg).unwrap();
@@ -595,6 +652,114 @@ mod tests {
         // No GROUP BY columns: the single implicit group.
         assert_partition_invariant("SELECT SUM(x) AS val FROM t", &table);
         assert_partition_invariant("SELECT COUNT(*) AS val FROM t WHERE flag = true", &table);
+    }
+
+    /// Whether the direct key codec takes `sql` on `table`.
+    fn takes_direct(sql: &str, table: &Table) -> bool {
+        let bound = bind(&parse(sql).unwrap(), table).unwrap();
+        let mut gt = GroupTable::new(0);
+        group_aggregate_direct_with(&bound.group, table, &mut gt)
+            .unwrap()
+            .is_some()
+    }
+
+    #[test]
+    fn partition_invariance_across_key_codecs() {
+        let table = random_table(71, 12_000);
+        for (sql, direct) in [
+            // Str columns sharing one interner, with Bool and negative Int.
+            (
+                "SELECT s, s2, flag, g, AVG(x) AS val FROM t GROUP BY s, s2, flag, g \
+                 ORDER BY val DESC",
+                true,
+            ),
+            // A sparse selection (about 1 row in 10 survives).
+            (
+                "SELECT g, s2, SUM(x) AS val FROM t WHERE n > 400000 GROUP BY g, s2 \
+                 HAVING count(*) > 1 ORDER BY val ASC",
+                true,
+            ),
+            ("SELECT flag, MIN(x) AS val FROM t GROUP BY flag", true),
+            ("SELECT MAX(x) AS val FROM t WHERE n < -490000", true),
+            // i64::MIN..i64::MAX has no code table: hashed fallback.
+            (
+                "SELECT e, s, AVG(x) AS val FROM t GROUP BY e, s ORDER BY val DESC",
+                false,
+            ),
+            // A 1M-value Int range is past the bound of a 12k-row table.
+            ("SELECT n, COUNT(*) AS val FROM t GROUP BY n", false),
+        ] {
+            assert_eq!(takes_direct(sql, &table), direct, "{sql}");
+            assert_partition_invariant(sql, &table);
+        }
+        // An empty table: every codec finds no group.
+        let empty = random_table(72, 0);
+        assert_partition_invariant("SELECT g, s, AVG(x) AS val FROM t GROUP BY g, s", &empty);
+        assert_partition_invariant("SELECT COUNT(*) AS val FROM t", &empty);
+    }
+
+    #[test]
+    fn auto_dispatch_pins_the_path_per_key_domain() {
+        // Big enough for the morsel path to be eligible on a multicore host.
+        let table = movielens::generate(&MovieLensConfig {
+            ratings: PARALLEL_MIN_ROWS,
+            ..MovieLensConfig::default()
+        })
+        .unwrap();
+        let threads = ParallelConfig::default().threads;
+        let run = |sql: &str| {
+            let bound = bind(&parse(sql).unwrap(), &table).unwrap();
+            let mut gt = GroupTable::new(0);
+            let mut stats = ParallelScanStats::default();
+            let auto = group_aggregate_auto(&bound.group, &table, &mut gt, &mut stats).unwrap();
+            let oracle = group_aggregate(&bound.group, &table).unwrap();
+            assert_eq!(
+                auto.result_fingerprint(),
+                oracle.result_fingerprint(),
+                "{sql}"
+            );
+            stats
+        };
+        // The paper query over categorical attributes: direct, never
+        // morsel-parallel, however many rows.
+        for g in [
+            "hdec, agegrp, gender",
+            "hdec, agegrp, gender, occupation",
+            "hdec, agegrp, gender, occupation, region, decade",
+        ] {
+            let stats = run(&format!(
+                "SELECT {g}, AVG(rating) AS val FROM ratingtable GROUP BY {g} \
+                 HAVING count(*) > 10 ORDER BY val DESC"
+            ));
+            assert_eq!((stats.direct_scans, stats.parallel_scans), (1, 0), "{g}");
+        }
+        // User × movie × age spans more slots than four per row: hashed,
+        // morsel-parallel when there is more than one core.
+        let slots: usize = ["user_id", "movie_id", "age"]
+            .iter()
+            .map(|c| {
+                let col = table.schema().index_of(c).unwrap();
+                table.dense_codes(col).unwrap().card() as usize
+            })
+            .product();
+        assert!(slots > direct_slot_bound(table.num_rows()), "{slots} slots");
+        let stats = run(
+            "SELECT user_id, movie_id, age, AVG(rating) AS val FROM ratingtable \
+             GROUP BY user_id, movie_id, age",
+        );
+        assert_eq!(stats.direct_scans, 0);
+        assert_eq!(stats.parallel_scans, u64::from(threads > 1));
+        // merge sums both counters.
+        let mut total = stats;
+        total.merge(ParallelScanStats {
+            direct_scans: 2,
+            parallel_scans: 1,
+            ..ParallelScanStats::default()
+        });
+        assert_eq!(
+            (total.direct_scans, total.parallel_scans),
+            (2, 1 + stats.parallel_scans)
+        );
     }
 
     #[test]

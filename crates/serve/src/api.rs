@@ -526,19 +526,37 @@ pub fn provenance_json(p: &CacheProvenance, restored: bool) -> Json {
     ])
 }
 
-/// The full command-response body.
-pub fn response_json(session_hex: &str, seq: u64, restored: bool, resp: &ExploreResponse) -> Json {
-    let view = view_json(resp);
-    let digest = checksum64(view.to_text().as_bytes());
-    Json::obj([
+/// The full command-response body, as JSON text.
+///
+/// The view is rendered to text once: those bytes are what the digest
+/// covers, and they are spliced into the body as its last member. Object
+/// members serialize in sorted key order and `"view"` sorts after every
+/// other key here, so the body is byte-for-byte the serialization of the
+/// whole object with the view as a nested [`Json`] value.
+pub fn response_text(
+    session_hex: &str,
+    seq: u64,
+    restored: bool,
+    resp: &ExploreResponse,
+) -> String {
+    let view = view_json(resp).to_text();
+    let digest = checksum64(view.as_bytes());
+    let head = Json::obj([
         ("v", Json::from(PROTOCOL_VERSION)),
         ("session", Json::from(session_hex)),
         ("seq", Json::from(seq)),
         ("digest", Json::from(format!("{digest:016x}"))),
         ("fidelity", fidelity_json(resp.fidelity)),
         ("provenance", provenance_json(&resp.provenance, restored)),
-        ("view", view),
     ])
+    .to_text();
+    let head = head.strip_suffix('}').expect("an object ends with '}'");
+    let mut body = String::with_capacity(head.len() + view.len() + 10);
+    body.push_str(head);
+    body.push_str(",\"view\":");
+    body.push_str(&view);
+    body.push('}');
+    body
 }
 
 #[cfg(test)]
@@ -595,6 +613,69 @@ mod tests {
             parse_command(br#"{"cmd":"await_exact","deadline_ms":250}"#).unwrap(),
             ExploreCommand::AwaitExact
         );
+    }
+
+    #[test]
+    fn response_text_renders_the_view_once_with_the_old_bytes() {
+        use qagview_interactive::{ExploreCommand, Explorer, SessionSpec};
+        use qagview_storage::{Catalog, Cell, ColumnType, Schema, TableBuilder};
+        use std::sync::Arc;
+
+        let schema = Schema::from_pairs(&[
+            ("genre", ColumnType::Str),
+            ("who", ColumnType::Str),
+            ("rating", ColumnType::Float),
+        ])
+        .unwrap();
+        let mut b = TableBuilder::new(schema);
+        for (i, genre) in ["adventure", "romance", "western", "scifi"]
+            .iter()
+            .enumerate()
+        {
+            for (j, who) in ["student", "coder", "artist"].iter().enumerate() {
+                let rating = (i * 3 + j) as f64 / 4.0;
+                b.push_row(vec![(*genre).into(), (*who).into(), Cell::Float(rating)])
+                    .unwrap();
+            }
+        }
+        let mut catalog = Catalog::new();
+        catalog.register("ratings", b.finish());
+        let engine = Arc::new(Explorer::new(catalog));
+        let mut session = engine.open_session(SessionSpec::default()).unwrap();
+        let mut responses = vec![session
+            .apply(ExploreCommand::SetQuery(
+                "SELECT genre, who, AVG(rating) AS val FROM ratings \
+                 GROUP BY genre, who ORDER BY val DESC"
+                    .into(),
+            ))
+            .unwrap()];
+        // A k move carries a band-diagram transition in its view.
+        responses.push(session.apply(ExploreCommand::SetK(2)).unwrap());
+        assert!(responses[1].transition.is_some());
+        for (seq, resp) in responses.iter().enumerate() {
+            let seq = seq as u64 + 1;
+            let text = response_text("00ab", seq, seq == 2, resp);
+            // The rendering before: the view rendered twice, once for the
+            // digest and once inside the body.
+            let view = view_json(resp);
+            let digest = checksum64(view.to_text().as_bytes());
+            let old = Json::obj([
+                ("v", Json::from(PROTOCOL_VERSION)),
+                ("session", Json::from("00ab")),
+                ("seq", Json::from(seq)),
+                ("digest", Json::from(format!("{digest:016x}"))),
+                ("fidelity", fidelity_json(resp.fidelity)),
+                ("provenance", provenance_json(&resp.provenance, seq == 2)),
+                ("view", view),
+            ])
+            .to_text();
+            assert_eq!(text, old);
+            let parsed = qagview_common::json::parse(&text).unwrap();
+            assert_eq!(
+                parsed.get("digest").and_then(Json::as_str),
+                Some(format!("{:016x}", view_digest(resp)).as_str())
+            );
+        }
     }
 
     #[test]

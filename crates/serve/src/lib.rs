@@ -40,7 +40,7 @@ pub mod net;
 pub mod server;
 pub mod sessions;
 
-pub use api::{parse_command, response_json, view_digest, view_json, ServeError};
+pub use api::{parse_command, response_text, view_digest, view_json, ServeError};
 pub use http::{HttpError, Request, Response};
 pub use metrics::Metrics;
 pub use net::{

@@ -163,7 +163,7 @@ impl Gateway {
             return resp;
         }
         let resp = match self.route(req, deadline) {
-            Ok(body) => Response::json(200, body.to_text().into_bytes()),
+            Ok(body) => Response::json(200, body.into_bytes()),
             Err(e) => {
                 match e {
                     ServeError::DeadlineExceeded { .. } => {
@@ -231,7 +231,8 @@ impl Gateway {
         Response::json(status, body.to_text().into_bytes()).with_retry_after(draining.then_some(2))
     }
 
-    fn route(&self, req: &Request, deadline: Option<Deadline>) -> Result<Json, ServeError> {
+    /// Route one request to its JSON body text.
+    fn route(&self, req: &Request, deadline: Option<Deadline>) -> Result<String, ServeError> {
         // While draining, reads (stats, metrics) keep answering but every
         // mutation is refused before it touches a session.
         if self.is_draining() && req.method != "GET" {
@@ -261,12 +262,14 @@ impl Gateway {
                 let id = parse_id(id)?;
                 let cmd = api::parse_command(&req.body)?;
                 let outcome = self.sessions.command_deadline(id, cmd, deadline)?;
-                Ok(api::response_json(
+                // Already text: the view is rendered once, for the digest
+                // and the body both.
+                return Ok(api::response_text(
                     &hex(id),
                     outcome.seq,
                     outcome.restored,
                     &outcome.response,
-                ))
+                ));
             }
             ("POST", ["api", "session", id, "checkpoint"]) => {
                 let id = parse_id(id)?;
@@ -281,6 +284,7 @@ impl Gateway {
             ))),
             _ => Err(ServeError::UnknownRoute(req.path.clone())),
         }
+        .map(|body| body.to_text())
     }
 
     fn create_session(&self, body: &[u8]) -> Result<Json, ServeError> {

@@ -11,7 +11,8 @@
 //! comparison.
 //!
 //! * [`schema`] — column types, column definitions, named schemas.
-//! * [`mod@column`] — typed column vectors with raw slice accessors.
+//! * [`mod@column`] — typed column vectors with raw slice accessors, and
+//!   the dense code tables that let small group-key domains skip hashing.
 //! * [`selection`] — selection vectors and vectorized predicate kernels
 //!   (the scan primitives of the batched query executor).
 //! * [`table`] — the table itself plus a row-oriented builder.
@@ -35,7 +36,7 @@ pub mod selection;
 pub mod table;
 
 pub use catalog::{Catalog, RegisteredTable, TableId};
-pub use column::Column;
+pub use column::{Column, DenseCodes};
 pub use csv::load_csv;
 pub use raw::RawTable;
 pub use schema::{ColumnDef, ColumnType, Schema};

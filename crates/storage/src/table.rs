@@ -1,9 +1,10 @@
 //! Tables and the row-oriented table builder.
 
-use crate::column::Column;
+use crate::column::{Column, DenseCodes};
 use crate::schema::{ColumnType, Schema};
 use qagview_common::wire::Checksum64;
 use qagview_common::{Interner, QagError, Result, Symbol, Value};
+use std::sync::OnceLock;
 
 /// A cell value supplied when building a table row.
 ///
@@ -61,6 +62,8 @@ pub struct Table {
     columns: Vec<Column>,
     interner: Interner,
     rows: usize,
+    /// Per column, its dense code table, computed on first use.
+    dense_codes: Vec<OnceLock<Option<DenseCodes>>>,
 }
 
 impl Table {
@@ -82,6 +85,16 @@ impl Table {
     /// Column `i`.
     pub fn column(&self, i: usize) -> &Column {
         &self.columns[i]
+    }
+
+    /// Column `i`'s [`DenseCodes`], computed the first time it is asked
+    /// for (one or two passes over the column) and cached for the table's
+    /// lifetime. `None` for `Float` columns and for `Int` columns whose
+    /// value range spans more than `max(rows, 65,536)` values.
+    pub fn dense_codes(&self, i: usize) -> Option<&DenseCodes> {
+        self.dense_codes[i]
+            .get_or_init(|| DenseCodes::of(&self.columns[i], self.interner.len()))
+            .as_ref()
     }
 
     /// The interner shared by all string columns of this table.
@@ -271,6 +284,7 @@ impl TableBuilder {
     /// Finalize into an immutable [`Table`].
     pub fn finish(self) -> Table {
         Table {
+            dense_codes: self.columns.iter().map(|_| OnceLock::new()).collect(),
             schema: self.schema,
             columns: self.columns,
             interner: self.interner,
@@ -412,6 +426,29 @@ mod tests {
         ])
         .unwrap();
         assert_ne!(base, b.finish().content_fingerprint());
+    }
+
+    #[test]
+    fn dense_codes_are_cached_per_column() {
+        let mut b = TableBuilder::new(schema());
+        for (year, gender) in [(1975, "M"), (1980, "F"), (1990, "M")] {
+            b.push_row(vec![
+                Cell::Int(year),
+                gender.into(),
+                Cell::Float(1.0),
+                true.into(),
+            ])
+            .unwrap();
+        }
+        let t = b.finish();
+        assert_eq!(t.dense_codes(0).map(DenseCodes::card), Some(3));
+        assert_eq!(t.dense_codes(1).map(DenseCodes::card), Some(2));
+        assert!(t.dense_codes(2).is_none(), "float columns have no codes");
+        assert_eq!(t.dense_codes(3), Some(&DenseCodes::Bool));
+        assert!(std::ptr::eq(
+            t.dense_codes(1).unwrap(),
+            t.dense_codes(1).unwrap()
+        ));
     }
 
     #[test]
