@@ -4,7 +4,7 @@
 //! growing with L, Hybrid in between; initialization grows steeply with m.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qagview_bench::movielens_answers;
+use qagview_bench::{eager_index, movielens_answers};
 use qagview_core::{bottom_up, fixed_order, BottomUpOptions, EvalMode, Params, Seeding};
 use qagview_lattice::CandidateIndex;
 use std::hint::black_box;
@@ -71,7 +71,7 @@ fn bench_init_vary_m(c: &mut Criterion) {
         let answers = movielens_answers(m, having, 42).expect("workload");
         let l = 20.min(answers.len());
         group.bench_with_input(BenchmarkId::new("initialization", m), &l, |b, &l| {
-            b.iter(|| black_box(CandidateIndex::build(&answers, l).unwrap()))
+            b.iter(|| black_box(eager_index(&answers, l).unwrap()))
         });
     }
     group.finish();

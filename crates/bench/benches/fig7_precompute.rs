@@ -6,7 +6,7 @@
 //! exploration amortizes the precomputation.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qagview_bench::synthetic_answers;
+use qagview_bench::{eager_index, synthetic_answers};
 use qagview_core::{EvalMode, Params};
 use qagview_interactive::{PrecomputeConfig, Precomputed};
 use qagview_lattice::CandidateIndex;
@@ -25,7 +25,7 @@ fn bench(c: &mut Criterion) {
         let params = Params::new(20, l, 2);
 
         group.bench_with_input(BenchmarkId::new("initialization", n), &l, |b, &l| {
-            b.iter(|| black_box(CandidateIndex::build(&answers, l).unwrap()))
+            b.iter(|| black_box(eager_index(&answers, l).unwrap()))
         });
         group.bench_with_input(BenchmarkId::new("single_hybrid", n), &params, |b, p| {
             b.iter(|| {

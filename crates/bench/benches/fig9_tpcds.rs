@@ -5,7 +5,7 @@
 //! N ≈ 47k; retrieval stays in the milliseconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use qagview_bench::tpcds_answers;
+use qagview_bench::{eager_index, tpcds_answers};
 use qagview_core::{EvalMode, Params};
 use qagview_interactive::{PrecomputeConfig, Precomputed};
 use qagview_lattice::CandidateIndex;
@@ -24,7 +24,7 @@ fn bench(c: &mut Criterion) {
     for l in [500usize, 1000] {
         let l = l.min(answers.len());
         group.bench_with_input(BenchmarkId::new("initialization", l), &l, |b, &l| {
-            b.iter(|| black_box(CandidateIndex::build(&answers, l).unwrap()))
+            b.iter(|| black_box(eager_index(&answers, l).unwrap()))
         });
         let index = CandidateIndex::build(&answers, l).expect("index");
         let params = Params::new(20, l, 2);

@@ -1,13 +1,21 @@
 //! Hot-path perf baseline: candidate-index construction and greedy-step
 //! marginal evaluation on synthetic answer relations (N ≈ 50k, m ∈ {4, 6}).
 //!
-//! Emits `BENCH_hotpath.json` in the working directory. This file is the
-//! perf trajectory anchor: every future optimization PR reruns this binary
-//! and compares against the committed baseline. Three comparisons per
+//! Writes `BENCH_hotpath.json` at the repository root, not in the working
+//! directory: the root is `qagview_bench::repo_root()`, resolved from
+//! `CARGO_MANIFEST_DIR` when the binary is compiled. A binary built from a
+//! copy of the repository therefore writes into that copy (and overwrites
+//! its `BENCH_hotpath.json`); give each copy its own `CARGO_TARGET_DIR` so
+//! one copy's build never runs as another's. This file is the perf
+//! trajectory anchor: every later optimization reruns this binary and
+//! compares against the committed baseline. Three comparisons per
 //! workload:
 //!
 //! * **candidate build** — naive per-candidate scan (Fig. 8(a) ablation)
-//!   vs the depth-first coverage walk of `CandidateIndex::build`;
+//!   vs `CandidateIndex::build` with every candidate's coverage derived
+//!   (forced through `iter()`), so both arms compute full coverage. The
+//!   informational `lazy_build_ms` times `build` alone: generation and
+//!   postings, with coverage left to first touch;
 //! * **greedy marginals** — per-tuple `marginal_naive` probes vs the fused
 //!   word-level `marginal_fused` kernels over the dense (bitset-backed)
 //!   candidates — the class where the two paths differ; sparse candidates
@@ -53,7 +61,7 @@
 //! wall clock), so scheduler noise only ever inflates, never deflates, the
 //! reported speedups.
 
-use qagview_bench::{repo_root, synthetic_answers};
+use qagview_bench::{eager_index, repo_root, synthetic_answers};
 use qagview_core::{
     fixed_order_phase, hybrid_with, run_phases, run_phases_reeval, EvalMode, Evaluator, GreedyRule,
     Params, Seeding, WorkingSet,
@@ -848,10 +856,11 @@ fn main() {
         // Same min-of-N protection as the optimized arms, so scheduler
         // noise cannot inflate the naive side of the speedup ratio.
         let naive_ms = time_best_ms(3, || CandidateIndex::build_naive(&answers, wl.l).unwrap());
-        let build_ms = time_best_ms(3, || CandidateIndex::build(&answers, wl.l).unwrap());
-        let index = CandidateIndex::build(&answers, wl.l).expect("candidate index");
+        let build_ms = time_best_ms(3, || eager_index(&answers, wl.l).unwrap());
+        let lazy_build_ms = time_best_ms(3, || CandidateIndex::build(&answers, wl.l).unwrap());
+        let index = eager_index(&answers, wl.l).expect("candidate index");
         eprintln!(
-            "  build: naive {naive_ms:.1} ms, walk {build_ms:.1} ms ({} candidates)",
+            "  build: naive {naive_ms:.1} ms, derived {build_ms:.1} ms, lazy {lazy_build_ms:.1} ms ({} candidates)",
             index.len()
         );
 
@@ -954,6 +963,7 @@ fn main() {
       "candidate_build": {{
         "naive_scan_ms": {naive_ms:.3},
         "build_ms": {build_ms:.3},
+        "lazy_build_ms": {lazy_build_ms:.3},
         "indexed_speedup_vs_naive": {idx_speedup:.2}
       }},
       "greedy_marginals": {{

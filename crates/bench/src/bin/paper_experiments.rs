@@ -15,7 +15,9 @@ use qagview::baselines::{
 use qagview::prelude::*;
 use qagview::userstudy::{run_study, StudyConfig, StudyReport};
 use qagview::viz::{band_crossings, total_distance};
-use qagview_bench::{example_1_1_answers, movielens_answers, synthetic_answers, tpcds_answers};
+use qagview_bench::{
+    eager_index, example_1_1_answers, movielens_answers, synthetic_answers, tpcds_answers,
+};
 use qagview_core::{
     bottom_up, brute_force, fixed_order, BottomUpOptions, BruteForceOptions, EvalMode, Seeding,
 };
@@ -303,7 +305,7 @@ fn fig6() {
         let answers = movielens_answers(m, having, 42).expect("workload");
         let l = 20.min(answers.len());
         let t = Instant::now();
-        let index = CandidateIndex::build(&answers, l).expect("index");
+        let index = eager_index(&answers, l).expect("index");
         let init_ms = ms(t);
         let params = Params::new(20, l, 3.min(answers.arity()));
         let t = Instant::now();
@@ -334,7 +336,7 @@ fn fig7() {
     // target k; larger targets stop earlier, so runtime decreases with k.
     let answers = synthetic_answers(2087, 8, 7).expect("workload");
     let t = Instant::now();
-    let index = CandidateIndex::build(&answers, 1000).expect("index");
+    let index = eager_index(&answers, 1000).expect("index");
     println!("  init (shared across k): {:.1} ms", ms(t));
     for k in [5usize, 10, 20, 50, 100] {
         let t = Instant::now();
@@ -404,7 +406,7 @@ fn fig7() {
     );
     for l in [200usize, 500, 1000] {
         let t = Instant::now();
-        let index = CandidateIndex::build(&answers, l).expect("index");
+        let index = eager_index(&answers, l).expect("index");
         let init_ms = ms(t);
         let params = Params::new(20, l, 2);
         let t = Instant::now();
@@ -441,7 +443,7 @@ fn fig7() {
         let answers = synthetic_answers(n, 8, 7).expect("workload");
         let l = 500.min(answers.len());
         let t = Instant::now();
-        let index = CandidateIndex::build(&answers, l).expect("index");
+        let index = eager_index(&answers, l).expect("index");
         let init_ms = ms(t);
         let params = Params::new(20, l, 2);
         let t = Instant::now();
@@ -473,14 +475,14 @@ fn fig8() {
     header("fig8", "optimization ablations (N=2087, m=8, k=20, D=2)");
     let answers = synthetic_answers(2087, 8, 7).expect("workload");
 
-    println!("-- (a) initialization: depth-first coverage walk vs naive scan --");
+    println!("-- (a) initialization: parent-derived coverage vs naive scan --");
     println!(
         "{:<8} {:>16} {:>16} {:>10}",
-        "L", "walk (ms)", "naive scan (ms)", "speedup"
+        "L", "derived (ms)", "naive scan (ms)", "speedup"
     );
     for l in [200usize, 500, 1000] {
         let t = Instant::now();
-        let fast = CandidateIndex::build(&answers, l).expect("walk build");
+        let fast = eager_index(&answers, l).expect("derived build");
         let fast_ms = ms(t);
         let t = Instant::now();
         let slow = CandidateIndex::build_naive(&answers, l).expect("naive");
@@ -583,7 +585,7 @@ fn fig9() {
     );
     for l in [500usize, 1000, 2000] {
         let t = Instant::now();
-        let index = CandidateIndex::build(&answers, l).expect("index");
+        let index = eager_index(&answers, l).expect("index");
         let init_ms = ms(t);
         let params = Params::new(20, l, 2);
         let t = Instant::now();

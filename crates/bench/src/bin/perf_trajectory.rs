@@ -96,6 +96,9 @@ fn enforced(doc: &Json) -> Vec<(String, f64)> {
             );
         }
     }
+    // `candidate_build.lazy_build_ms` stays informational: it times only
+    // generation and postings, while the enforced ratio compares full
+    // coverage with full coverage.
     for wl in doc.get("workloads").map(Json::items).unwrap_or(&[]) {
         if let Some(m) = wl.get("m").and_then(Json::as_f64) {
             push(

@@ -15,8 +15,19 @@ use qagview_datagen::movielens::{self, MovieLensConfig};
 use qagview_datagen::synthetic::{answer_set, SyntheticConfig};
 use qagview_datagen::tpcds::{self, StoreSalesConfig};
 use qagview_interactive::Explorer;
-use qagview_lattice::AnswerSet;
+use qagview_lattice::{AnswerSet, CandidateIndex};
 use qagview_storage::Catalog;
+
+/// The §6.3 candidate index with every candidate's coverage derived, as
+/// the paper's initialization step computes it. `CandidateIndex::build`
+/// alone derives coverage on first touch, so the timed initialization arms
+/// (and the Fig. 8(a) ablation against `build_naive`) force it through
+/// `iter()` to compare full coverage with full coverage.
+pub fn eager_index(answers: &AnswerSet, l: usize) -> Result<CandidateIndex> {
+    let index = CandidateIndex::build(answers, l)?;
+    for _ in index.iter() {}
+    Ok(index)
+}
 
 /// The repository root, resolved from this crate's manifest directory
 /// (`crates/bench` → two levels up) at compile time.

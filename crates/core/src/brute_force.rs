@@ -51,9 +51,9 @@ struct Search<'a> {
 
 impl Search<'_> {
     fn feasible_with(&self, id: CandId) -> bool {
-        let pattern = &self.index.info(id).pattern;
+        let pattern = self.index.pattern(id);
         for &c in &self.chosen {
-            let other = &self.index.info(c).pattern;
+            let other = self.index.pattern(c);
             if pattern.covers(other) || other.covers(pattern) {
                 return false;
             }

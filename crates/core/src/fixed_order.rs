@@ -124,7 +124,7 @@ fn process_item(
     pool: usize,
     evaluator: &mut Evaluator,
 ) -> Result<()> {
-    let pattern = w.index().info(id).pattern.clone();
+    let pattern = w.index().pattern(id).clone();
 
     // Skip anything already subsumed by the solution. For a singleton this
     // is exactly "tᵢ ∈ cov(O)"; for seed patterns it is pattern coverage.

@@ -239,8 +239,8 @@ impl<S: Copy> MergeFrontier<S> {
     /// allocation-free index probe, one distance computation.
     fn push_pair(&mut self, w: &WorkingSet<'_>, a: CandId, b: CandId) -> Result<()> {
         let index = w.index();
-        let pa = &index.info(a).pattern;
-        let pb = &index.info(b).pattern;
+        let pa = index.pattern(a);
+        let pb = index.pattern(b);
         let dist = pa.distance(pb) as u8;
         self.lca_scratch.clear();
         self.lca_scratch
@@ -348,9 +348,8 @@ impl<S: Copy> MergeFrontier<S> {
                     better(&s, best_score)
                         || (!better(best_score, &s)
                             && w.index()
-                                .info(lca)
-                                .pattern
-                                .cmp_for_ties(&w.index().info(*best_lca).pattern)
+                                .pattern(lca)
+                                .cmp_for_ties(w.index().pattern(*best_lca))
                                 == std::cmp::Ordering::Less)
                 }
             };
@@ -547,9 +546,8 @@ impl MergeFrontier<f64> {
                     s > *best_score
                         || (s == *best_score
                             && w.index()
-                                .info(lca)
-                                .pattern
-                                .cmp_for_ties(&w.index().info(*best_lca).pattern)
+                                .pattern(lca)
+                                .cmp_for_ties(w.index().pattern(*best_lca))
                                 == std::cmp::Ordering::Less)
                 }
             };
@@ -639,7 +637,7 @@ mod tests {
         assert_eq!(evaluator.eval_calls(), 3, "3 distinct LCAs scored once");
         assert!(!event.new_coverage, "top-L coverage cannot grow");
         assert_eq!(
-            s.pattern_to_string(&idx.info(event.lca).pattern),
+            s.pattern_to_string(idx.pattern(event.lca)),
             "(x, *)",
             "ties broke to the smallest LCA pattern"
         );
@@ -689,7 +687,7 @@ mod tests {
         )
         .unwrap()
         .unwrap();
-        assert_eq!(s.pattern_to_string(&idx.info(event.lca).pattern), "(*, p)");
+        assert_eq!(s.pattern_to_string(idx.pattern(event.lca)), "(*, p)");
         assert!(event.new_coverage, "absorbed the redundant (w, p)");
         let before = evaluator.eval_calls();
         frontier_round(

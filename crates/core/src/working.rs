@@ -206,7 +206,7 @@ impl<'a> WorkingSet<'a> {
 
     /// Pattern of the member at `position`.
     pub fn pattern(&self, position: usize) -> &Pattern {
-        &self.index.info(self.members[position]).pattern
+        self.index.pattern(self.members[position])
     }
 
     /// The coverage version: how many rounds actually *grew* the coverage
@@ -413,10 +413,7 @@ impl<'a> WorkingSet<'a> {
                 if i >= self.members.len() {
                     return Err(QagError::internal("invalid merge position"));
                 }
-                (
-                    self.pattern(i).clone(),
-                    self.index.info(ext).pattern.clone(),
-                )
+                (self.pattern(i).clone(), self.index.pattern(ext).clone())
             }
         };
         let lca = pat_a.lca(&pat_b);
@@ -435,13 +432,13 @@ impl<'a> WorkingSet<'a> {
             return Err(QagError::internal("merge LCA id out of candidate range"));
         }
         let index = self.index;
-        let lca = &index.info(lca_id).pattern;
+        let lca = index.pattern(lca_id);
         // Evict every member covered by the LCA (this includes the merge
         // endpoints). Eviction cannot shrink coverage: cov(M) ⊆ cov(LCA)
         // for every evicted M.
         let mut removed = Vec::with_capacity(2);
         self.members.retain(|&m| {
-            if lca.covers(&index.info(m).pattern) {
+            if lca.covers(index.pattern(m)) {
                 removed.push(m);
                 false
             } else {
@@ -461,7 +458,7 @@ impl<'a> WorkingSet<'a> {
     pub fn eval_merge(&self, spec: MergeSpec, evaluator: &mut Evaluator) -> Result<(CandId, f64)> {
         let (pat_a, pat_b) = match spec {
             MergeSpec::Pair(i, j) => (self.pattern(i), self.pattern(j)),
-            MergeSpec::External(i, ext) => (self.pattern(i), &self.index.info(ext).pattern),
+            MergeSpec::External(i, ext) => (self.pattern(i), self.index.pattern(ext)),
         };
         let lca = pat_a.lca(pat_b);
         let lca_id = self.index.require(&lca)?;
@@ -502,7 +499,7 @@ impl<'a> WorkingSet<'a> {
         let patterns: Vec<Pattern> = self
             .members
             .iter()
-            .map(|&m| self.index.info(m).pattern.clone())
+            .map(|&m| self.index.pattern(m).clone())
             .collect();
         qagview_lattice::min_pairwise_distance(&patterns)
     }
@@ -609,7 +606,7 @@ pub fn greedy_apply(
             GreedyRule::SolutionAvg => solution_avg,
             GreedyRule::PairAvg => w.index().info(lca_id).avg(),
         };
-        let lca_pattern = &w.index().info(lca_id).pattern;
+        let lca_pattern = w.index().pattern(lca_id);
         let better = match &best {
             None => true,
             Some((best_score, best_pat, _)) => {
@@ -663,7 +660,7 @@ mod tests {
         // Merge (x,p,1) and (x,q,1) -> (x,*,1): coverage stays {0,1}.
         let lca = w.apply_merge(MergeSpec::Pair(0, 1)).unwrap();
         assert_eq!(w.len(), 1);
-        assert_eq!(s.pattern_to_string(&idx.info(lca).pattern), "(x, *, 1)");
+        assert_eq!(s.pattern_to_string(idx.pattern(lca)), "(x, *, 1)");
         assert_eq!(w.covered_count(), 2);
         // Two coverage-growing adds; the merge absorbed nothing, so the
         // coverage version and its diff are unchanged.
@@ -706,7 +703,7 @@ mod tests {
         // Merge (x,p,1) with (y,p,2) -> (*,p,*) which also covers rank-5
         // tuple (x,p,2): a redundant element gets picked up.
         let lca = w.apply_merge(MergeSpec::Pair(0, 2)).unwrap();
-        assert_eq!(s.pattern_to_string(&idx.info(lca).pattern), "(*, p, *)");
+        assert_eq!(s.pattern_to_string(idx.pattern(lca)), "(*, p, *)");
         assert_eq!(w.covered_count(), 4);
         assert_eq!(w.last_added(), &[4]);
         // Sum now 8 + 6 + 4 + 1.
@@ -722,7 +719,7 @@ mod tests {
         // Merging ranks 1 and 4 gives (*,*,*)? No: (x,p,1) vs (y,q,2) ->
         // all-star. Every member is covered and evicted.
         let lca = w.apply_merge(MergeSpec::Pair(0, 3)).unwrap();
-        assert_eq!(idx.info(lca).pattern, Pattern::all_star(3));
+        assert_eq!(idx.pattern(lca), &Pattern::all_star(3));
         assert_eq!(w.len(), 1);
         assert_eq!(w.covered_count(), 5);
     }
@@ -748,7 +745,7 @@ mod tests {
         w.add_candidate(t0).unwrap();
         let t1 = idx.require(&s.singleton(1)).unwrap();
         let lca = w.apply_merge(MergeSpec::External(0, t1)).unwrap();
-        assert_eq!(s.pattern_to_string(&idx.info(lca).pattern), "(x, *, 1)");
+        assert_eq!(s.pattern_to_string(idx.pattern(lca)), "(x, *, 1)");
         assert_eq!(w.len(), 1);
     }
 
@@ -782,7 +779,7 @@ mod tests {
         let merged = greedy_apply(&mut w, &specs, &mut ev, GreedyRule::SolutionAvg)
             .unwrap()
             .unwrap();
-        assert_eq!(s.pattern_to_string(&idx.info(merged).pattern), "(x, *, 1)");
+        assert_eq!(s.pattern_to_string(idx.pattern(merged)), "(x, *, 1)");
         assert!((w.avg() - 6.0).abs() < 1e-12);
     }
 
@@ -802,7 +799,7 @@ mod tests {
         let merged = greedy_apply(&mut w, &specs, &mut ev, GreedyRule::PairAvg)
             .unwrap()
             .unwrap();
-        assert_eq!(s.pattern_to_string(&idx.info(merged).pattern), "(x, *, 1)");
+        assert_eq!(s.pattern_to_string(idx.pattern(merged)), "(x, *, 1)");
     }
 
     #[test]

@@ -5,19 +5,22 @@
 //! the ancestors of the top-`L` tuples (each top-`L` tuple has `2^m`
 //! generalizations). This set is closed under the `Merge` operation — the
 //! LCA of two ancestors of top-`L` tuples covers a top-`L` tuple, hence is
-//! itself such an ancestor — so one eager pass suffices for a whole run, and
-//! for *all* `(k, D)` combinations during precomputation (§6.2).
+//! itself such an ancestor — so one generation pass serves a whole run, and
+//! *all* `(k, D)` combinations during precomputation (§6.2).
 //!
-//! The set is also closed under generalization, so [`CandidateIndex::build`]
-//! derives each candidate's coverage from its parent's, one attribute at a
-//! time (as Smart Drill-Down refines a rule), in one depth-first walk. The
-//! naive per-candidate scan, [`CandidateIndex::build_naive`], is the
-//! Fig. 8(a) ablation's slow arm (paper: 100×–1000× slower) and the walk's
-//! test oracle.
+//! The set is also closed under generalization, so a candidate's coverage
+//! derives from its parent's, one attribute at a time (as Smart Drill-Down
+//! refines a rule). [`CandidateIndex::build`] generates every candidate but
+//! derives coverage only on a candidate's first [`CandidateIndex::info`]:
+//! a full plane build reads the coverage of a few percent of them. The
+//! naive per-candidate scan, [`CandidateIndex::build_naive`], fills every
+//! coverage eagerly; it is the Fig. 8(a) ablation's slow arm (paper:
+//! 100×–1000× slower) and the derivation's test oracle.
 
 use crate::answers::{AnswerSet, TupleId};
 use crate::pattern::{Pattern, STAR};
 use qagview_common::{FixedBitSet, FxHashMap, QagError, Result};
+use std::sync::OnceLock;
 
 /// Dense identifier of a candidate cluster inside a [`CandidateIndex`].
 pub type CandId = u32;
@@ -32,7 +35,7 @@ pub type CandId = u32;
 /// diff tuple instead of a list merge.
 pub const DENSE_COVERAGE_DIVISOR: usize = 64;
 
-/// A candidate cluster with its precomputed coverage over all of `S`.
+/// A candidate cluster with its coverage over all of `S`.
 #[derive(Debug, Clone)]
 pub struct CandidateInfo {
     /// The cluster pattern.
@@ -63,42 +66,38 @@ impl CandidateInfo {
 }
 
 /// The candidate-cluster index for one `(S, L)` pair.
+///
+/// Shared across threads (the per-`D` descents run in parallel), each
+/// candidate's coverage is memoized in a once-cell: concurrent first
+/// touches of one candidate block on a single derivation, and since a
+/// derivation only waits on its ancestors, first touches cannot deadlock.
 #[derive(Debug, Clone)]
 pub struct CandidateIndex {
     m: usize,
     l: usize,
     n: usize,
     map: FxHashMap<Pattern, CandId>,
-    infos: Vec<CandidateInfo>,
+    patterns: Vec<Pattern>,
+    infos: Vec<OnceLock<CandidateInfo>>,
+    postings: Postings,
 }
 
-impl CandidateIndex {
-    /// Build with the §6.3 optimization (default path): a single-threaded,
-    /// depth-first walk over the candidate set.
-    ///
-    /// One pass over `S` collects the ascending tuple ids of every
-    /// `(attribute, code)` posting, plus a bitset for postings that are
-    /// dense by the [`DENSE_COVERAGE_DIVISOR`] rule. The all-`∗` root covers
-    /// `0..n`; every other candidate follows its parent, itself with its last
-    /// fixed attribute `a = c` starred, and keeps the parent's tuples with
-    /// `c` at `a`:
-    ///
-    /// * dense parent and posting: the AND of their bitsets, which a dense
-    ///   child keeps as its `cov_bits`;
-    /// * dense parent, sparse posting: the posting ids set in the parent;
-    /// * sparse parent: the parent ids holding `c` at `a`.
-    ///
-    /// Only the AND can yield a dense child. Sums accumulate over ascending
-    /// ids from `0.0`, so coverage, sums (to the f64 bit) and `cov_bits` are
-    /// identical to [`CandidateIndex::build_naive`].
-    ///
-    /// # Errors
-    ///
-    /// * [`QagError::InvalidParameter`] if `l` is zero or exceeds `n`, or if
-    ///   `m` is too large for eager enumeration.
-    pub fn build(answers: &AnswerSet, l: usize) -> Result<Self> {
-        let mut index = Self::generate_candidates(answers, l)?;
-        let (m, n) = (index.m, index.n);
+/// What coverage derivation reads of the answer relation: its codes and
+/// scores, and the ascending tuple ids of every `(attribute, code)`, with a
+/// bitset for postings that are dense by the [`DENSE_COVERAGE_DIVISOR`]
+/// rule.
+#[derive(Debug, Clone)]
+struct Postings {
+    codes: Vec<u32>,
+    vals: Vec<f64>,
+    /// `lists[a][c]`: the tuples holding code `c` at attribute `a`.
+    lists: Vec<Vec<(Option<FixedBitSet>, Vec<TupleId>)>>,
+}
+
+impl Postings {
+    /// One O(m·n) pass over `S`.
+    fn new(answers: &AnswerSet) -> Self {
+        let (m, n) = (answers.arity(), answers.len());
         let mut ids: Vec<Vec<Vec<TupleId>>> = (0..m)
             .map(|a| vec![Vec::new(); answers.domain_size(a)])
             .collect();
@@ -107,7 +106,7 @@ impl CandidateIndex {
                 ids[a][c as usize].push(t);
             }
         }
-        let postings: Vec<Vec<_>> = ids
+        let lists = ids
             .into_iter()
             .map(|per_code| {
                 per_code
@@ -116,70 +115,24 @@ impl CandidateIndex {
                     .collect()
             })
             .collect();
-        // Pattern order puts ∗ after every code, so its reverse lists each
-        // candidate before its subtree: a depth-first preorder.
-        let mut order: Vec<CandId> = (0..index.infos.len() as CandId).collect();
-        order.sort_unstable_by_key(|&id| std::cmp::Reverse(&index.infos[id as usize].pattern));
-        let (mut slots, mut scratch) = (vec![STAR; m], Vec::new());
-        for id in order {
-            slots.copy_from_slice(index.infos[id as usize].pattern.slots());
-            let (bits, cov) = match slots.iter().rposition(|&s| s != STAR) {
-                None => {
-                    let cov: Vec<TupleId> = (0..n as TupleId).collect();
-                    (dense_bits(n, &cov), cov)
-                }
-                Some(a) => {
-                    let c = std::mem::replace(&mut slots[a], STAR) as usize;
-                    let parent = index.info(index.require_slots(&slots)?);
-                    match (&parent.cov_bits, &postings[a][c]) {
-                        (Some(pb), (Some(qb), _)) => {
-                            let words = (pb.as_words().iter().zip(qb.as_words()))
-                                .map(|(x, y)| x & y)
-                                .collect();
-                            let bits = FixedBitSet::from_words(n, words)?;
-                            let mut cov = Vec::with_capacity(bits.count_ones());
-                            cov.extend(bits.iter_ones().map(|t| t as TupleId));
-                            (Some(bits).filter(|_| is_dense(cov.len(), n)), cov)
-                        }
-                        (Some(pb), (None, ids)) => (
-                            None,
-                            filter_ids(ids, &mut scratch, |t| pb.contains(t as usize)),
-                        ),
-                        (None, _) => {
-                            let keep = |t: TupleId| answers.tuple(t)[a] as usize == c;
-                            (None, filter_ids(&parent.cov, &mut scratch, keep))
-                        }
-                    }
-                }
-            };
-            debug_assert_eq!(bits.is_some(), is_dense(cov.len(), n));
-            let info = &mut index.infos[id as usize];
-            info.sum = cov.iter().fold(0.0, |s, &t| s + answers.val(t));
-            (info.cov, info.cov_bits) = (cov, bits);
+        Postings {
+            codes: answers.codes().to_vec(),
+            vals: answers.vals().to_vec(),
+            lists,
         }
-        Ok(index)
     }
+}
 
-    /// Build with the naive per-candidate scan (Fig. 8(a) ablation only).
+impl CandidateIndex {
+    /// Build with the §6.3 optimization (default path): generate every
+    /// candidate and the relation's postings; each candidate's coverage is
+    /// derived on its first [`CandidateIndex::info`].
     ///
-    /// Produces byte-identical results to [`CandidateIndex::build`].
-    pub fn build_naive(answers: &AnswerSet, l: usize) -> Result<Self> {
-        let mut index = Self::generate_candidates(answers, l)?;
-        for info in &mut index.infos {
-            for (t, codes, v) in answers.iter() {
-                if info.pattern.covers_tuple(codes) {
-                    info.cov.push(t);
-                    info.sum += v;
-                }
-            }
-        }
-        for info in &mut index.infos {
-            info.cov_bits = dense_bits(index.n, &info.cov);
-        }
-        Ok(index)
-    }
-
-    fn generate_candidates(answers: &AnswerSet, l: usize) -> Result<Self> {
+    /// # Errors
+    ///
+    /// * [`QagError::InvalidParameter`] if `l` is zero or exceeds `n`, or if
+    ///   `m` is too large for eager enumeration.
+    pub fn build(answers: &AnswerSet, l: usize) -> Result<Self> {
         let m = answers.arity();
         if l == 0 || l > answers.len() {
             return Err(QagError::param(format!(
@@ -193,20 +146,14 @@ impl CandidateIndex {
             )));
         }
         let mut map: FxHashMap<Pattern, CandId> = FxHashMap::default();
-        let mut infos: Vec<CandidateInfo> = Vec::new();
+        let mut patterns: Vec<Pattern> = Vec::new();
         for t in 0..l as u32 {
             Pattern::for_each_generalization(answers.tuple(t), |slots| {
                 // Probe with the scratch slice; allocate only on first sight.
                 if !map.contains_key(slots) {
                     let p = Pattern::new(slots.to_vec());
-                    let id = infos.len() as CandId;
-                    map.insert(p.clone(), id);
-                    infos.push(CandidateInfo {
-                        pattern: p,
-                        cov: Vec::new(),
-                        sum: 0.0,
-                        cov_bits: None,
-                    });
+                    map.insert(p.clone(), patterns.len() as CandId);
+                    patterns.push(p);
                 }
             });
         }
@@ -215,8 +162,92 @@ impl CandidateIndex {
             l,
             n: answers.len(),
             map,
-            infos,
+            infos: (0..patterns.len()).map(|_| OnceLock::new()).collect(),
+            patterns,
+            postings: Postings::new(answers),
         })
+    }
+
+    /// Build with the naive per-candidate scan, filling every coverage
+    /// eagerly (Fig. 8(a) ablation and test oracle).
+    ///
+    /// Produces byte-identical results to [`CandidateIndex::build`].
+    pub fn build_naive(answers: &AnswerSet, l: usize) -> Result<Self> {
+        let index = Self::build(answers, l)?;
+        for (pattern, cell) in index.patterns.iter().zip(&index.infos) {
+            let mut info = CandidateInfo {
+                pattern: pattern.clone(),
+                cov: Vec::new(),
+                sum: 0.0,
+                cov_bits: None,
+            };
+            for (t, codes, v) in answers.iter() {
+                if pattern.covers_tuple(codes) {
+                    info.cov.push(t);
+                    info.sum += v;
+                }
+            }
+            info.cov_bits = dense_bits(index.n, &info.cov);
+            cell.set(info).expect("a fresh index has no coverage yet");
+        }
+        Ok(index)
+    }
+
+    /// Derive a candidate's coverage from its parent, itself with its last
+    /// fixed attribute `a = c` starred (the all-`∗` root covers `0..n`), by
+    /// keeping the parent's tuples with `c` at `a`:
+    ///
+    /// * dense parent and posting: the AND of their bitsets, which a dense
+    ///   child keeps as its `cov_bits`;
+    /// * dense parent, sparse posting: the posting ids set in the parent;
+    /// * sparse parent: the parent ids holding `c` at `a`.
+    ///
+    /// Only the AND can yield a dense child. Sums accumulate over ascending
+    /// ids from `0.0`, so coverage, sums (to the f64 bit) and `cov_bits` are
+    /// identical to [`CandidateIndex::build_naive`].
+    #[cold]
+    fn derive(&self, id: CandId) -> CandidateInfo {
+        let (n, pattern) = (self.n, &self.patterns[id as usize]);
+        let (cov_bits, cov) = match pattern.slots().iter().rposition(|&s| s != STAR) {
+            None => {
+                let cov: Vec<TupleId> = (0..n as TupleId).collect();
+                (dense_bits(n, &cov), cov)
+            }
+            Some(a) => {
+                let mut slots = pattern.slots().to_vec();
+                let c = std::mem::replace(&mut slots[a], STAR);
+                let parent_id = self
+                    .id_of_slots(&slots)
+                    .expect("candidates are closed under generalization");
+                let parent = self.info(parent_id);
+                match (&parent.cov_bits, &self.postings.lists[a][c as usize]) {
+                    (Some(pb), (Some(qb), _)) => {
+                        let words = (pb.as_words().iter().zip(qb.as_words()))
+                            .map(|(x, y)| x & y)
+                            .collect();
+                        let bits = FixedBitSet::from_words(n, words)
+                            .expect("an AND of two n-bit sets has n bits");
+                        let mut cov = Vec::with_capacity(bits.count_ones());
+                        cov.extend(bits.iter_ones().map(|t| t as TupleId));
+                        (Some(bits).filter(|_| is_dense(cov.len(), n)), cov)
+                    }
+                    (Some(pb), (None, ids)) => (None, filter_ids(ids, |t| pb.contains(t as usize))),
+                    (None, _) => {
+                        let codes = &self.postings.codes;
+                        let keep = |t: TupleId| codes[t as usize * self.m + a] == c;
+                        (None, filter_ids(&parent.cov, keep))
+                    }
+                }
+            }
+        };
+        debug_assert_eq!(cov_bits.is_some(), is_dense(cov.len(), n));
+        let vals = &self.postings.vals;
+        CandidateInfo {
+            pattern: pattern.clone(),
+            sum: cov.iter().fold(0.0, |s, &t| s + vals[t as usize]),
+            cov,
+            cov_bits,
+        }
     }
 
     /// Number of tuples in the answer relation this index was built over.
@@ -236,12 +267,12 @@ impl CandidateIndex {
 
     /// Number of candidate clusters.
     pub fn len(&self) -> usize {
-        self.infos.len()
+        self.patterns.len()
     }
 
     /// Whether the index is empty (only possible for an empty `S`).
     pub fn is_empty(&self) -> bool {
-        self.infos.is_empty()
+        self.patterns.is_empty()
     }
 
     /// Id of a pattern, if it is a candidate.
@@ -273,36 +304,45 @@ impl CandidateIndex {
         })
     }
 
-    /// Candidate info by id.
+    /// A candidate's pattern. Unlike [`CandidateIndex::info`], this never
+    /// derives coverage, so reads that need only the pattern (distances,
+    /// LCAs, tie-breaks) keep the index lazy.
     #[inline]
-    pub fn info(&self, id: CandId) -> &CandidateInfo {
-        &self.infos[id as usize]
+    pub fn pattern(&self, id: CandId) -> &Pattern {
+        &self.patterns[id as usize]
     }
 
-    /// Iterate over `(CandId, &CandidateInfo)`.
+    /// Candidate info by id, deriving its coverage on first touch.
+    #[inline]
+    pub fn info(&self, id: CandId) -> &CandidateInfo {
+        self.infos[id as usize].get_or_init(|| self.derive(id))
+    }
+
+    /// Iterate over `(CandId, &CandidateInfo)`, deriving every coverage.
     pub fn iter(&self) -> impl Iterator<Item = (CandId, &CandidateInfo)> {
+        (0..self.len() as CandId).map(|id| (id, self.info(id)))
+    }
+
+    /// How many candidates have their coverage derived so far.
+    pub fn materialized(&self) -> usize {
         self.infos
             .iter()
-            .enumerate()
-            .map(|(i, info)| (i as CandId, info))
+            .filter(|cell| cell.get().is_some())
+            .count()
     }
 }
 
-/// Collect the ids `keep` accepts, with exact capacity. Every id is stored
-/// and only accepted ones advance the cursor, so an unpredictable `keep`
-/// costs no branch misses.
-fn filter_ids(
-    ids: &[TupleId],
-    scratch: &mut Vec<TupleId>,
-    keep: impl Fn(TupleId) -> bool,
-) -> Vec<TupleId> {
-    scratch.resize(ids.len(), 0);
+/// The ids `keep` accepts. Every id is stored and only accepted ones
+/// advance the cursor, so an unpredictable `keep` costs no branch misses.
+fn filter_ids(ids: &[TupleId], keep: impl Fn(TupleId) -> bool) -> Vec<TupleId> {
+    let mut out = vec![0; ids.len()];
     let mut kept = 0;
     for &t in ids {
-        scratch[kept] = t;
+        out[kept] = t;
         kept += usize::from(keep(t));
     }
-    scratch[..kept].to_vec()
+    out.truncate(kept);
+    out
 }
 
 /// The [`DENSE_COVERAGE_DIVISOR`] rule: whether `count` of `n` tuples is
@@ -457,6 +497,21 @@ mod tests {
             }
         }
         assert!(saw_dense, "the all-star candidate is always dense");
+    }
+
+    #[test]
+    fn coverage_is_derived_on_first_touch() {
+        let s = sample();
+        let idx = CandidateIndex::build(&s, 5).unwrap();
+        assert_eq!(idx.materialized(), 0);
+        let leaf = idx.id_of(&s.singleton(0)).unwrap();
+        assert_eq!(idx.pattern(leaf), &s.singleton(0));
+        assert_eq!(idx.materialized(), 0, "a pattern read derives nothing");
+        assert_eq!(idx.info(leaf).cov, vec![0]);
+        // The leaf and its parent chain up to the all-∗ root: m + 1 cells.
+        assert_eq!(idx.materialized(), 4);
+        assert_eq!(idx.iter().count(), idx.len());
+        assert_eq!(idx.materialized(), idx.len());
     }
 
     #[test]

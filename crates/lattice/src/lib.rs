@@ -15,8 +15,8 @@
 //!   property of Prop. 4.2.
 //! * [`candidates`] — the §6.3 "cluster generation and mapping to tuples"
 //!   optimization: an index of every candidate cluster (ancestors of top-`L`
-//!   tuples) with precomputed coverage lists over all of `S`, plus the naive
-//!   scan variant kept for the Fig. 8(a) ablation.
+//!   tuples) whose coverage over all of `S` is derived on first touch, plus
+//!   the naive scan variant kept for the Fig. 8(a) ablation.
 //! * [`wire`] — on-disk sections for patterns and cluster coverage (the
 //!   lattice half of the persistent precompute store), including the lazy
 //!   [`wire::ClusterDirectory`] a loaded store serves solutions from.

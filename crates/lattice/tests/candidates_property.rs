@@ -1,9 +1,12 @@
-//! Property tests for the §6.3 candidate index: the depth-first walk of
-//! `CandidateIndex::build` must be bit-identical to the naive scan, and the
-//! index must be closed under the merge operation on arbitrary relations.
+//! Property tests for the §6.3 candidate index: the coverage that
+//! `CandidateIndex::build` derives on first touch must be bit-identical to
+//! the naive scan whatever order (and from however many threads) the
+//! candidates are touched in, and the index must be closed under the merge
+//! operation on arbitrary relations.
 
 use proptest::prelude::*;
-use qagview_lattice::{AnswerSet, AnswerSetBuilder, CandidateIndex, Pattern, STAR};
+use qagview_lattice::{AnswerSet, AnswerSetBuilder, CandId, CandidateIndex, Pattern, STAR};
+use std::sync::{Arc, Barrier};
 
 /// A relation of `n` distinct tuples over `m` attributes with skewed
 /// domains: each attribute draws from a domain of 1..=8 codes, biased
@@ -49,19 +52,43 @@ fn assert_bitwise_naive(answers: &AnswerSet, l: usize) {
     let fast = CandidateIndex::build(answers, l).unwrap();
     let slow = CandidateIndex::build_naive(answers, l).unwrap();
     assert_eq!(fast.len(), slow.len());
-    for (id, info) in fast.iter() {
-        let sinfo = slow.info(id);
-        assert_eq!(info.pattern, sinfo.pattern);
-        assert_eq!(info.cov, sinfo.cov);
-        assert_eq!(info.sum.to_bits(), sinfo.sum.to_bits());
-        assert_eq!(info.cov_bits, sinfo.cov_bits);
+    for id in 0..fast.len() as CandId {
+        assert_same_info(&fast, &slow, id);
     }
 }
 
-/// At relation sizes around word and density boundaries, some parent in
-/// the walk (a candidate with its last fixed attribute starred) covers
-/// exactly the fewest tuples that count as dense, and the walk still
-/// matches the naive scan.
+/// Candidate `id` of `lazy` (touched now, if it was not yet) equals the
+/// naive oracle's, bit for bit.
+fn assert_same_info(lazy: &CandidateIndex, slow: &CandidateIndex, id: CandId) {
+    let (info, sinfo) = (lazy.info(id), slow.info(id));
+    assert_eq!(lazy.pattern(id), &sinfo.pattern);
+    assert_eq!(info.pattern, sinfo.pattern);
+    assert_eq!(info.cov, sinfo.cov);
+    assert_eq!(info.sum.to_bits(), sinfo.sum.to_bits());
+    assert_eq!(info.cov_bits, sinfo.cov_bits);
+}
+
+/// A seeded Fisher–Yates permutation of `0..len`.
+fn permutation(len: usize, seed: u64) -> Vec<CandId> {
+    let mut state = seed | 1;
+    let mut ids: Vec<CandId> = (0..len as CandId).collect();
+    for i in (1..len).rev() {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ids.swap(i, (state >> 33) as usize % (i + 1));
+    }
+    ids
+}
+
+fn l_of(answers: &AnswerSet, l_frac: f64) -> usize {
+    ((answers.len() as f64 * l_frac) as usize).clamp(1, answers.len())
+}
+
+/// At relation sizes around word and density boundaries, some parent (a
+/// candidate with its last fixed attribute starred) covers exactly the
+/// fewest tuples that count as dense, and derivation from it still matches
+/// the naive scan.
 #[test]
 fn walk_build_crosses_the_dense_boundary() {
     for n in [63usize, 64, 65, 128, 300] {
@@ -92,7 +119,7 @@ proptest! {
     /// list, and every sum (to the f64 bit), whatever `L` is.
     #[test]
     fn indexed_build_equals_naive(answers in arb_answers(), l_frac in 0.1f64..=1.0) {
-        let l = ((answers.len() as f64 * l_frac) as usize).clamp(1, answers.len());
+        let l = l_of(&answers, l_frac);
         let fast = CandidateIndex::build(&answers, l).unwrap();
         let slow = CandidateIndex::build_naive(&answers, l).unwrap();
         prop_assert_eq!(fast.len(), slow.len());
@@ -116,12 +143,58 @@ proptest! {
         }
     }
 
-    /// The walk build is bit-identical to the naive scan candidate by
+    /// The derived coverage is bit-identical to the naive scan candidate by
     /// candidate, bitsets included.
     #[test]
     fn walk_build_is_bitwise_naive(answers in arb_answers()) {
         let l = (answers.len() / 2).max(1);
         assert_bitwise_naive(&answers, l);
+    }
+
+    /// Touching candidates in any order derives every coverage bit for bit
+    /// as the naive scan does, and a fresh index has derived none.
+    #[test]
+    fn any_access_order_is_bitwise_naive(
+        answers in arb_answers(),
+        l_frac in 0.1f64..=1.0,
+        seed in any::<u64>(),
+    ) {
+        let l = l_of(&answers, l_frac);
+        let lazy = CandidateIndex::build(&answers, l).unwrap();
+        let slow = CandidateIndex::build_naive(&answers, l).unwrap();
+        prop_assert_eq!(lazy.materialized(), 0);
+        prop_assert_eq!(slow.materialized(), slow.len());
+        for id in permutation(lazy.len(), seed) {
+            assert_same_info(&lazy, &slow, id);
+        }
+        prop_assert_eq!(lazy.materialized(), lazy.len());
+    }
+
+    /// Two threads racing first touches over one shared index, each in its
+    /// own random order, both read exactly the naive scan's coverage.
+    #[test]
+    fn concurrent_first_touches_are_bitwise_naive(
+        answers in arb_answers(),
+        l_frac in 0.1f64..=1.0,
+        seed in any::<u64>(),
+    ) {
+        let l = l_of(&answers, l_frac);
+        let lazy = Arc::new(CandidateIndex::build(&answers, l).unwrap());
+        let slow = CandidateIndex::build_naive(&answers, l).unwrap();
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            for k in 0..2 {
+                let (lazy, slow, start) = (Arc::clone(&lazy), &slow, &start);
+                let order = permutation(lazy.len(), seed.wrapping_add(k));
+                scope.spawn(move || {
+                    start.wait();
+                    for id in order {
+                        assert_same_info(&lazy, slow, id);
+                    }
+                });
+            }
+        });
+        prop_assert_eq!(lazy.materialized(), lazy.len());
     }
 
     /// The candidate set is closed under LCA for pairs that each cover a
