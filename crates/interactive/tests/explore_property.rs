@@ -154,3 +154,76 @@ proptest! {
         }
     }
 }
+
+/// A catalog with one table of a few hundred groups whose counts spread
+/// over 1..=12, so most threshold moves change the answer relation.
+fn spread_catalog() -> Catalog {
+    let schema = Schema::from_pairs(&[
+        ("g", ColumnType::Int),
+        ("s", ColumnType::Str),
+        ("x", ColumnType::Float),
+    ])
+    .unwrap();
+    let mut b = TableBuilder::new(schema);
+    for i in 0..1500i64 {
+        let g = (i * 7919) % 211 - 100;
+        if i % 12 > g.rem_euclid(12) {
+            continue;
+        }
+        b.push_row(vec![
+            Cell::Int(g),
+            format!("s{}", (g * 31).rem_euclid(5)).as_str().into(),
+            Cell::Float(((i * 13) % 9) as f64 / 2.0),
+        ])
+        .unwrap();
+    }
+    let mut c = Catalog::new();
+    c.register("spread", b.finish());
+    c
+}
+
+/// A relation-changing `SetThreshold` re-applies the session's cached
+/// group phase (ranking only what passes the first time, walking a rank
+/// of every group after that). Each must serve the relation — and the
+/// view — of a cold engine opened at that threshold, which applies a
+/// fresh group phase once.
+#[test]
+fn threshold_ticks_serve_the_relation_of_a_cold_open() {
+    let shared = Arc::new(spread_catalog());
+    let sql = |t: u32| {
+        format!(
+            "SELECT g, s, AVG(x) AS val FROM spread GROUP BY g, s \
+             HAVING count(*) > {t} ORDER BY val DESC"
+        )
+    };
+    let fresh_engine = || {
+        Arc::new(Explorer::from_shared(
+            Arc::clone(&shared),
+            ExplorerConfig::default(),
+        ))
+    };
+    let engine = fresh_engine();
+    let mut warm = ExploreSession::new(Arc::clone(&engine));
+    warm.apply(ExploreCommand::SetQuery(sql(0))).unwrap();
+    let mut last_fp = engine.answer_relation(&sql(0)).unwrap().fingerprint();
+    let mut changes = 0;
+    for t in [3, 1, 6, 2, 0, 4, 5] {
+        let warm_view = warm
+            .apply(ExploreCommand::SetThreshold(f64::from(t)))
+            .unwrap();
+        let warm_fp = engine.answer_relation(&sql(t)).unwrap().fingerprint();
+        let cold_engine = fresh_engine();
+        let cold_fp = cold_engine.answer_relation(&sql(t)).unwrap().fingerprint();
+        assert_eq!(warm_fp, cold_fp, "relation at threshold {t}");
+        let cold_view = ExploreSession::new(cold_engine)
+            .apply(ExploreCommand::SetQuery(sql(t)))
+            .unwrap();
+        assert_eq!(
+            warm_view.summary, cold_view.summary,
+            "view at threshold {t}"
+        );
+        changes += usize::from(warm_fp != last_fp);
+        last_fp = warm_fp;
+    }
+    assert_eq!(changes, 7, "every move changes the relation");
+}

@@ -138,13 +138,12 @@ impl AnswerSet {
         (ids, sum)
     }
 
-    /// Assemble an answer set from pre-encoded rows: per-attribute display
-    /// domains plus `(codes, val)` tuples. This is the allocation-lean path
-    /// used by the query layer to convert a cached group phase straight
-    /// into an answer relation without re-interning display strings; it
-    /// applies the exact same ordering, uniqueness, and NaN rules as
-    /// [`AnswerSetBuilder::finish`], so both construction paths are
-    /// byte-identical for the same logical input.
+    /// Assemble an answer set from pre-encoded rows in any order:
+    /// per-attribute display domains plus `(codes, val)` tuples. It sorts
+    /// the rows into rank order and checks uniqueness against every row.
+    /// [`AnswerSetBuilder::finish`] ends here, so this is the reference
+    /// construction that the query layer's ordered path
+    /// ([`AnswerSet::from_ordered_parts`]) is tested against.
     ///
     /// # Errors
     ///
@@ -219,16 +218,20 @@ impl AnswerSet {
 
     /// Reassemble an answer set from parts that are *already* in rank
     /// order — row-major `codes` and `vals` exactly as [`AnswerSet::codes`]
-    /// and [`AnswerSet::vals`] hand them out. This is the load path of a
-    /// persisted relation: it validates in one linear pass instead of
-    /// re-sorting and re-hashing every tuple like [`AnswerSet::from_rows`].
+    /// and [`AnswerSet::vals`] hand them out. It validates in one linear
+    /// pass instead of re-sorting and re-hashing every tuple like
+    /// [`AnswerSet::from_rows`]. Two callers build relations this way:
+    /// the query layer, from a finished group phase, and the load path of
+    /// a persisted relation.
     ///
     /// Checked: shapes, every code against its domain, no NaN score, and
     /// the rank order itself (scores non-increasing, equal scores strictly
     /// ascending by codes — the order `from_rows` produces). The order
     /// check also rules out duplicates among equal-scored tuples; two equal
-    /// tuples with *different* scores are not detected (the callers verify
-    /// a content fingerprint of what they load instead).
+    /// tuples with *different* scores are not detected. Neither caller can
+    /// produce them: the query layer's tuples are `GROUP BY` keys, unique
+    /// by construction, and the load path verifies a content fingerprint
+    /// of what it loads.
     ///
     /// # Errors
     ///

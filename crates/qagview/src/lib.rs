@@ -106,10 +106,13 @@ use qagview_query::QueryOutput;
 /// [`Explorer::answer_relation`](interactive::Explorer::answer_relation)
 /// (for the relation itself); this free-function path — paired with
 /// [`query::run_query`] — is kept as the readable reference and
-/// differential oracle for the conversion: it renders every group to
-/// display strings and re-interns them. The engine path —
+/// differential oracle for the conversion: it renders every output row to
+/// display strings and re-interns them through [`AnswerSetBuilder`]. The
+/// engine path —
 /// [`GroupedResult::apply_answers`](qagview_query::GroupedResult::apply_answers)
-/// — skips that round trip and is byte-identical
+/// — ranks and codes only the groups that pass `HAVING`, renders each
+/// distinct value once, and builds the relation already in rank order. It
+/// is byte-identical to this function applied to the row engine's output
 /// (see `crates/query/tests/answers_direct.rs`).
 pub fn answers_from_query(output: &QueryOutput) -> Result<AnswerSet> {
     let mut builder = AnswerSetBuilder::new(output.attr_names.clone());

@@ -19,15 +19,17 @@
 //!   has a dense code table and the key domain is at most
 //!   [`direct_slot_bound`] slots: a row's slot is `Σ code_j · stride_j`
 //!   and its group id is `slot_to_gid[slot]`, with no hashing. Both
-//!   assign ids in first-encounter order and store the same key lanes,
-//!   so their results are byte-identical.
+//!   assign ids in first-encounter order, and a group's key reads the
+//!   same encoded lanes whether it is stored (hashed) or decoded from the
+//!   group's slot (direct), so their results are byte-identical.
 //! * [`execute_rows`] — the row-at-a-time reference implementation
 //!   (per-row [`Value`] materialization, per-row key vectors). It is kept
 //!   as the differential-testing oracle and the benchmark baseline.
 
 use crate::ast::{AggFunc, CmpOp, OrderDir};
 use crate::group::{
-    cmp_holds, encode_i64, fold_hash, AggColumns, GroupCounts, GroupTable, GroupedResult,
+    cmp_holds, encode_i64, fold_hash, AggColumns, GroupCounts, GroupKeys, GroupTable,
+    GroupedResult, SlotLane,
 };
 use crate::plan::{BoundPredicate, BoundQuery, GroupSpec};
 use qagview_common::{FxHashMap, QagError, Result, Value};
@@ -279,6 +281,26 @@ impl<'t> DirectKeys<'t> {
         Some(DirectKeys { lanes, num_slots })
     }
 
+    /// How the finished group phase reads each lane's encoded value back
+    /// out of a group's slot.
+    fn slot_lanes(&self) -> Vec<SlotLane> {
+        self.lanes
+            .iter()
+            .map(|&(_, codes, stride)| {
+                let values = match codes {
+                    DenseCodes::Int { min, code_of, .. } => coded_indices(code_of)
+                        .map(|i| encode_i64(min.wrapping_add(i as i64)))
+                        .collect(),
+                    DenseCodes::Str { code_of, .. } => {
+                        coded_indices(code_of).map(|i| i as u64).collect()
+                    }
+                    DenseCodes::Bool => vec![0, 1],
+                };
+                SlotLane { stride, values }
+            })
+            .collect()
+    }
+
     /// Write the direct slot of every selected row into `slots`, one
     /// column at a time.
     fn slots(
@@ -311,6 +333,16 @@ impl<'t> DirectKeys<'t> {
     }
 }
 
+/// The indices of a code table that hold a code, in code order: the
+/// `k`-th one has code `k`.
+fn coded_indices(code_of: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    code_of
+        .iter()
+        .enumerate()
+        .filter(|&(_, &code)| code != u32::MAX)
+        .map(|(i, _)| i)
+}
+
 /// Add one column's `code · stride` to the slot of every selected row.
 /// Slots stay below the codec's slot count, which fits `u32`.
 fn add_slot_lane<T: Copy>(
@@ -332,18 +364,6 @@ fn add_slot_lane<T: Copy>(
                 *s += code(v[r as usize]) * stride;
             }
         }
-    }
-}
-
-/// The encoded key lane of `row` in group column `col`: the encodings
-/// [`encode_keys`] writes in bulk, so a group's key is stored alike
-/// whichever codec found it.
-fn key_lane(col: &Column, row: usize) -> u64 {
-    match col {
-        Column::Int(v) => encode_i64(v[row]),
-        Column::Str(v) => u64::from(v[row].0),
-        Column::Bool(v) => u64::from(v[row]),
-        Column::Float(_) => unreachable!("float group keys have no code table"),
     }
 }
 
@@ -381,10 +401,7 @@ impl KeyCodec<'_> {
             }
             KeyCodec::Direct { keys, slots } => {
                 keys.slots(table, sel, dense_start, slots);
-                gt.assign_direct(keys.num_slots, slots, gids, |i, arena| {
-                    let row = dense_start.map_or_else(|| sel.rows()[i] as usize, |s| s + i);
-                    arena.extend(group_cols.iter().map(|&c| key_lane(table.column(c), row)));
-                });
+                gt.assign_direct(keys.num_slots, slots, gids);
             }
         }
         Ok(())
@@ -401,8 +418,8 @@ pub fn group_aggregate(spec: &GroupSpec, table: &Table) -> Result<GroupedResult>
 }
 
 /// [`group_aggregate`] against a caller-provided [`GroupTable`], so a
-/// session can reuse the table's hash-map and key-arena allocations across
-/// queries. The table is cleared first.
+/// session can reuse the table's hash-slot allocation across queries. The
+/// table is cleared first; its key arena moves into the result.
 pub fn group_aggregate_with(
     spec: &GroupSpec,
     table: &Table,
@@ -532,15 +549,14 @@ fn scan_groups(
         batch_start = end;
     }
 
-    GroupedResult::finish(
-        table,
-        &spec.group_cols,
-        spec.group_names.clone(),
-        &spec.aggs,
-        gt,
-        &counts,
-        &acc,
-    )
+    // A zero-width direct scan assigned through the hashed path (above).
+    let keys = match &codec {
+        KeyCodec::Direct { keys, .. } if !keys.lanes.is_empty() => {
+            GroupKeys::direct(gt, keys.slot_lanes())
+        }
+        _ => GroupKeys::hashed(gt),
+    };
+    GroupedResult::finish(spec, table, keys, gt.num_groups(), &counts, &acc)
 }
 
 /// Execute a bound query through the vectorized pipeline, producing the

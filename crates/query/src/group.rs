@@ -2,21 +2,23 @@
 //!
 //! The expensive part of every paper-shaped query is the scan: filter the
 //! base table, assign each surviving row a group id, and accumulate the
-//! aggregates. Everything after that — `HAVING`, `ORDER BY`, `LIMIT` — is
-//! `O(groups)`. [`GroupTable`] performs the group-id assignment over
-//! encoded key batches; [`GroupedResult`] is the finished group phase,
-//! from which [`GroupedResult::apply`] derives the answer relation for any
-//! output spec without touching the base table again. An interactive
-//! threshold slider re-applies against one cached `GroupedResult` instead
-//! of re-executing the query.
+//! aggregates. [`GroupTable`] performs the group-id assignment;
+//! [`GroupedResult`] is the finished group phase: a key per group and its
+//! finished aggregates. [`GroupedResult::apply`] and
+//! [`GroupedResult::apply_answers`] derive the answer relation for any
+//! output spec from it without touching the base table again: `HAVING`
+//! over every group, then ranking, `LIMIT` and rendering over only the
+//! groups that pass. An interactive threshold slider re-applies against
+//! one cached `GroupedResult` instead of re-executing the query.
 
 use crate::ast::{AggFunc, CmpOp, OrderDir};
 use crate::exec::{QueryOutput, QueryRow};
-use crate::plan::{BoundAgg, OutputSpec};
-use qagview_common::{FxHashMap, QagError, Result, Symbol};
+use crate::plan::{GroupSpec, OutputSpec};
+use qagview_common::{FxHashMap, Interner, QagError, Result, Symbol};
 use qagview_lattice::AnswerSet;
-use qagview_storage::{Column, Table};
+use qagview_storage::{Column, ColumnType, Table};
 use std::cmp::Ordering;
+use std::sync::{Arc, OnceLock};
 
 /// Encode an `i64` group-key part so that `u64` comparison preserves the
 /// signed order (flip the sign bit).
@@ -76,12 +78,14 @@ pub(crate) fn f64_sort_bits(v: f64) -> u64 {
 /// * `assign_direct` — a slot map indexed by a row's
 ///   direct slot `Σ code_j · stride_j`, for key domains small enough to
 ///   address (see [`crate::exec::direct_slot_bound`]). No hashing, no
-///   probing; the key arena is written once per new group.
+///   probing, and no key arena: a group is identified by its slot, which
+///   the table records once per new group.
 ///
-/// Either way ids are dense and in first-encounter order, and the key
-/// arena holds the same encoded lanes. The table is reusable:
-/// [`GroupTable::clear`] resets it for another query while keeping its
-/// allocations.
+/// Either way ids are dense and in first-encounter order. The table is
+/// reusable: [`GroupTable::clear`] resets it for another query while
+/// keeping the allocations of its hash slots and slot map. A finished
+/// hashed scan moves its key arena into the [`GroupedResult`], so the
+/// next hashed scan grows a new one.
 #[derive(Debug, Default)]
 pub struct GroupTable {
     width: usize,
@@ -93,10 +97,12 @@ pub struct GroupTable {
     /// Direct slot map: `gid + 1` per direct slot, `0` for a slot no row
     /// has reached. Grown on demand, never shrunk.
     direct: Vec<u32>,
-    /// The direct slot of each group, in group-id order — the only
-    /// entries of `direct` that [`GroupTable::clear`] has to reset.
+    /// The direct slot of each group, in group-id order: each direct
+    /// group's key, and the only entries of `direct` that
+    /// [`GroupTable::clear`] has to reset.
     direct_touched: Vec<u32>,
-    /// Encoded keys in group-id order, `width` lanes per group.
+    /// Encoded keys in group-id order, `width` lanes per group (hashed
+    /// assignment only).
     keys: Vec<u64>,
     num_groups: u32,
 }
@@ -117,11 +123,6 @@ impl GroupTable {
         self.num_groups as usize
     }
 
-    /// The encoded key of group `gid`.
-    pub fn key(&self, gid: usize) -> &[u64] {
-        &self.keys[gid * self.width..(gid + 1) * self.width]
-    }
-
     /// The whole key arena in group-id order (`width` lanes per group) —
     /// what the morsel-merge feeds back through [`GroupTable::assign`] to
     /// remap a partition's local group ids onto the global table.
@@ -130,7 +131,8 @@ impl GroupTable {
     }
 
     /// Reset for a new query with keys of `width` lanes, keeping the
-    /// allocations of the slot array and key arena.
+    /// allocations of the hash slots, the slot map and whatever key arena
+    /// the table still holds.
     pub fn clear(&mut self, width: usize) {
         self.slots.iter_mut().for_each(|s| *s = (0, 0));
         for &slot in &self.direct_touched {
@@ -209,29 +211,20 @@ impl GroupTable {
 
     /// Assign a group id to each row of a batch from its direct slot
     /// (`slots[i] < num_slots`), appending new groups in first-encounter
-    /// order. For each new group, `push_key(i, arena)` appends row `i`'s
-    /// encoded key lanes to the key arena — the same lanes the hashed
-    /// path stores, so everything downstream of the ids is shared. Ids
-    /// are written to `gids` (cleared first).
-    pub(crate) fn assign_direct(
-        &mut self,
-        num_slots: usize,
-        slots: &[u32],
-        gids: &mut Vec<u32>,
-        mut push_key: impl FnMut(usize, &mut Vec<u64>),
-    ) {
+    /// order and recording each new group's slot. Ids are written to
+    /// `gids` (cleared first).
+    pub(crate) fn assign_direct(&mut self, num_slots: usize, slots: &[u32], gids: &mut Vec<u32>) {
         if self.direct.len() < num_slots {
             self.direct.resize(num_slots, 0);
         }
         gids.clear();
         let direct = &mut self.direct[..num_slots];
-        gids.extend(slots.iter().enumerate().map(|(i, &slot)| {
+        gids.extend(slots.iter().map(|&slot| {
             let entry = &mut direct[slot as usize];
             if *entry == 0 {
                 self.num_groups += 1;
                 *entry = self.num_groups;
                 self.direct_touched.push(slot);
-                push_key(i, &mut self.keys);
             }
             *entry - 1
         }));
@@ -332,169 +325,151 @@ pub(crate) fn cmp_holds(op: CmpOp, ord: Ordering) -> bool {
     }
 }
 
-/// The finished group phase of one query: every aggregate finished per
-/// group, display attributes rendered, and both sort permutations
-/// precomputed. Any `HAVING` threshold, `ORDER BY` direction, and `LIMIT`
-/// is derived from this in `O(groups)` via [`GroupedResult::apply`].
+/// Keep in `passes` only the groups whose value in `vals` passes `test`;
+/// whether a NaN value was reached among the groups that had passed.
+#[inline]
+fn refine(passes: &mut [bool], vals: &[f64], test: impl Fn(f64) -> bool) -> bool {
+    let mut nan = false;
+    for (pass, &v) in passes.iter_mut().zip(vals) {
+        nan |= *pass & v.is_nan();
+        *pass &= test(v);
+    }
+    nan
+}
+
+/// How a finished group phase identifies each group's key: the encoded
+/// lanes the hashed scan stored, or the slot the direct scan indexed.
+/// Either way [`GroupedResult`] reads a key through one accessor, so
+/// everything past the scan is shared.
+#[derive(Debug, Clone)]
+pub(crate) enum GroupKeys {
+    /// `width` encoded lanes per group, in group-id order: the hashed
+    /// scan's key arena, moved out of its [`GroupTable`].
+    Lanes(Vec<u64>),
+    /// The direct slot of each group, in group-id order, and per lane how
+    /// to read its encoded value back out of a slot.
+    Slots {
+        slots: Vec<u32>,
+        lanes: Vec<SlotLane>,
+    },
+}
+
+impl GroupKeys {
+    /// The hashed scan's keys: `gt`'s key arena, moved out. `gt` must be
+    /// [`GroupTable::clear`]ed before it assigns again (every scan does).
+    pub(crate) fn hashed(gt: &mut GroupTable) -> Self {
+        GroupKeys::Lanes(std::mem::take(&mut gt.keys))
+    }
+
+    /// The direct scan's keys: a copy of `gt`'s slots, which
+    /// [`GroupTable::clear`] still needs to reset its slot map.
+    pub(crate) fn direct(gt: &GroupTable, lanes: Vec<SlotLane>) -> Self {
+        GroupKeys::Slots {
+            slots: gt.direct_touched.clone(),
+            lanes,
+        }
+    }
+}
+
+/// One group column of a direct slot `Σ code_j · stride_j`.
+#[derive(Debug, Clone)]
+pub(crate) struct SlotLane {
+    pub(crate) stride: u32,
+    /// The encoded lane of each code. Dense codes ascend with the value
+    /// they code, so these ascend too.
+    pub(crate) values: Vec<u64>,
+}
+
+impl SlotLane {
+    /// The lane's code within `slot`.
+    #[inline]
+    fn code(&self, slot: u32) -> usize {
+        (slot / self.stride) as usize % self.values.len()
+    }
+}
+
+/// The finished group phase of one query: each group's key (its encoded
+/// lanes from a hashed scan, its slot from a direct one) and every
+/// aggregate finished per group — nothing rendered and nothing sorted.
+/// [`GroupedResult::apply`] and [`GroupedResult::apply_answers`] derive
+/// the answer relation for any `HAVING` threshold, `ORDER BY` direction
+/// and `LIMIT`, ranking and rendering only the groups that pass.
 #[derive(Debug, Clone)]
 pub struct GroupedResult {
     attr_names: Vec<String>,
     width: usize,
     num_groups: usize,
-    /// Distinct rendered display strings per key lane (group keys draw
-    /// from small categorical domains, so each value renders once).
-    attr_pool: Vec<Vec<String>>,
-    /// Per-group pool indices, row-major `width` per group: the display
-    /// attributes of group `g` are `attr_pool[j][attr_codes[g*width + j]]`.
-    attr_codes: Vec<u32>,
+    keys: GroupKeys,
+    /// Type of each key lane, which says how it renders.
+    lane_types: Vec<ColumnType>,
+    /// The scanned table's interner, which renders `Str` lanes.
+    interner: Arc<Interner>,
     /// Finished aggregate values, `[agg_idx][gid]`.
     finished: Vec<Vec<f64>>,
-    /// Group ids sorted by (val asc, key asc) / (val desc, key asc).
-    order_asc: Vec<u32>,
-    order_desc: Vec<u32>,
+    /// Set by the first ordered apply. That one ranks only the groups
+    /// that pass (a cold open applies once); every later one walks
+    /// `rank` (a threshold slider applies many times).
+    applied: OnceLock<()>,
+    /// Every group by score in the direction of the second ordered apply,
+    /// equal scores by ascending key, built by that apply. The other
+    /// direction is its run-wise reverse.
+    rank: OnceLock<(OrderDir, Vec<u32>)>,
 }
 
 impl GroupedResult {
-    /// Finish a group phase: render keys, finalize aggregates, precompute
-    /// the sort permutations.
+    /// Finish a group phase: finalize every aggregate of `spec` per group.
     pub(crate) fn finish(
+        spec: &GroupSpec,
         table: &Table,
-        group_cols: &[usize],
-        attr_names: Vec<String>,
-        aggs: &[BoundAgg],
-        gt: &GroupTable,
+        keys: GroupKeys,
+        num_groups: usize,
         counts: &GroupCounts,
         acc: &[AggColumns],
     ) -> Result<Self> {
-        let n = gt.num_groups();
-        let mut finished = vec![Vec::with_capacity(n); aggs.len()];
-        for (ai, agg) in aggs.iter().enumerate() {
-            for gid in 0..n {
-                finished[ai].push(acc[ai].finish(agg.func, gid, counts));
-            }
-        }
-        Self::from_finished(table, group_cols, attr_names, gt, finished)
+        let finished = spec
+            .aggs
+            .iter()
+            .zip(acc)
+            .map(|(agg, acc)| {
+                (0..num_groups)
+                    .map(|gid| acc.finish(agg.func, gid, counts))
+                    .collect()
+            })
+            .collect();
+        Self::from_finished(spec, table, keys, num_groups, finished)
     }
 
-    /// Finish a group phase from already-finished aggregate columns
-    /// (`[agg_idx][gid]`, gids in `gt` insertion order): render keys and
-    /// precompute the sort permutations. The exact path arrives here via
-    /// [`GroupedResult::finish`]; the sampled path injects per-group
-    /// *estimates* directly.
+    /// A group phase from already-finished aggregate columns
+    /// (`[agg_idx][gid]`, gids in first-encounter order). The exact path
+    /// arrives here via [`GroupedResult::finish`]; the sampled path
+    /// injects per-group *estimates* directly.
     pub(crate) fn from_finished(
+        spec: &GroupSpec,
         table: &Table,
-        group_cols: &[usize],
-        attr_names: Vec<String>,
-        gt: &GroupTable,
+        keys: GroupKeys,
+        num_groups: usize,
         finished: Vec<Vec<f64>>,
     ) -> Result<Self> {
-        let n = gt.num_groups();
-        let width = group_cols.len();
-
-        // Render each *distinct* encoded value per lane once into a pool
-        // and store per-group pool codes; output rows clone from the pool
-        // on demand in `apply`. Lane-major passes keep each lane's lookup
-        // structure hot.
-        let mut attr_pool: Vec<Vec<String>> = vec![Vec::new(); width];
-        let mut attr_codes: Vec<u32> = vec![0; n * width];
-        for (j, &c) in group_cols.iter().enumerate() {
-            let pool = &mut attr_pool[j];
-            match table.column(c) {
-                // Symbols are dense interner indices: a direct-index table
-                // beats a hash map.
-                Column::Str(_) => {
-                    let interner = table.interner();
-                    let mut by_symbol: Vec<u32> = vec![u32::MAX; interner.len()];
-                    for gid in 0..n {
-                        let enc = gt.keys[gid * width + j];
-                        let s = enc as usize;
-                        if by_symbol[s] == u32::MAX {
-                            by_symbol[s] = pool.len() as u32;
-                            pool.push(interner.resolve(Symbol(enc as u32)).to_string());
-                        }
-                        attr_codes[gid * width + j] = by_symbol[s];
-                    }
-                }
-                Column::Int(_) | Column::Bool(_) => {
-                    let mut by_enc: FxHashMap<u64, u32> = FxHashMap::default();
-                    for gid in 0..n {
-                        let enc = gt.keys[gid * width + j];
-                        let code = match by_enc.get(&enc) {
-                            Some(&code) => code,
-                            None => {
-                                let code = pool.len() as u32;
-                                by_enc.insert(enc, code);
-                                pool.push(render_part(table, c, enc)?);
-                                code
-                            }
-                        };
-                        attr_codes[gid * width + j] = code;
-                    }
-                }
-                Column::Float(_) => {
-                    return Err(QagError::internal(
-                        "float group keys are rejected at bind time".to_string(),
-                    ))
-                }
-            }
-        }
-
-        // Sort (value-bits, gid) pairs — a branchless integer sort — then
-        // re-order each equal-value run by encoded key, matching the
-        // reference engine's (val, key) comparator. Runs of exactly equal
-        // scores are rare and short, so the fix-up pass is cheap.
-        let key_of = |g: u32| &gt.keys[g as usize * width..(g as usize + 1) * width];
-        static NO_VALS: [f64; 0] = [];
-        let vals: &[f64] = finished.first().map_or(&NO_VALS, |v| v.as_slice());
-        let val_of = |g: u32| {
-            if vals.is_empty() {
-                0.0
-            } else {
-                vals[g as usize]
-            }
-        };
-        let mut tagged: Vec<(u64, u32)> = (0..n as u32)
-            .map(|g| (f64_sort_bits(val_of(g)), g))
-            .collect();
-        tagged.sort_unstable();
-        let mut order_asc: Vec<u32> = tagged.iter().map(|&(_, g)| g).collect();
-        let mut lo = 0;
-        while lo < n {
-            let mut hi = lo + 1;
-            while hi < n && tagged[hi].0 == tagged[lo].0 {
-                hi += 1;
-            }
-            if hi - lo > 1 {
-                order_asc[lo..hi].sort_unstable_by(|&a, &b| key_of(a).cmp(key_of(b)));
-            }
-            lo = hi;
-        }
-        // Descending order keeps the *ascending* key tie-break, so it is
-        // the reverse of `order_asc` with each equal-value run restored to
-        // its original direction — no second sort needed.
-        let mut order_desc: Vec<u32> = Vec::with_capacity(n);
-        let mut hi = n;
-        while hi > 0 {
-            let mut lo = hi - 1;
-            while lo > 0
-                && f64_sort_bits(val_of(order_asc[lo - 1]))
-                    == f64_sort_bits(val_of(order_asc[hi - 1]))
-            {
-                lo -= 1;
-            }
-            order_desc.extend_from_slice(&order_asc[lo..hi]);
-            hi = lo;
-        }
-
+        let lane_types = spec
+            .group_cols
+            .iter()
+            .map(|&c| match table.column(c) {
+                Column::Float(_) => Err(QagError::internal(
+                    "float group keys are rejected at bind time".to_string(),
+                )),
+                col => Ok(col.ty()),
+            })
+            .collect::<Result<Vec<_>>>()?;
         Ok(GroupedResult {
-            attr_names,
-            width,
-            num_groups: n,
-            attr_pool,
-            attr_codes,
+            attr_names: spec.group_names.clone(),
+            width: spec.group_cols.len(),
+            num_groups,
+            keys,
+            lane_types,
+            interner: table.shared_interner(),
             finished,
-            order_asc,
-            order_desc,
+            applied: OnceLock::new(),
+            rank: OnceLock::new(),
         })
     }
 
@@ -503,13 +478,11 @@ impl GroupedResult {
         self.num_groups
     }
 
-    /// A structural fingerprint over every field of the finished group
-    /// phase, with floats hashed by *bit pattern* (NaNs and signed zeros
-    /// included). Two `GroupedResult`s with equal fingerprints agree on
-    /// group order, rendered attributes, every aggregate's exact f64 bits,
-    /// and both sort permutations — the identity contract the
-    /// morsel-parallel scan is held to against the sequential engine, and
-    /// what the N-scaling bench asserts before timing anything.
+    /// A structural fingerprint of the finished group phase: group order,
+    /// every encoded key lane, and every aggregate's exact f64 bits (NaNs
+    /// and signed zeros included). The hashed, direct, morsel-parallel
+    /// and sampled scans are held to it against each other, and the
+    /// N-scaling bench asserts it before timing anything.
     pub fn result_fingerprint(&self) -> u64 {
         let mut h = fold_hash(0, self.num_groups as u64);
         h = fold_hash(h, self.width as u64);
@@ -519,27 +492,15 @@ impl GroupedResult {
                 h = fold_hash(h, u64::from(*b));
             }
         }
-        for pool in &self.attr_pool {
-            h = fold_hash(h, pool.len() as u64);
-            for s in pool {
-                h = fold_hash(h, s.len() as u64);
-                for b in s.as_bytes() {
-                    h = fold_hash(h, u64::from(*b));
-                }
+        for g in 0..self.num_groups as u32 {
+            for j in 0..self.width {
+                h = fold_hash(h, self.lane(g, j));
             }
-        }
-        for &code in &self.attr_codes {
-            h = fold_hash(h, u64::from(code));
         }
         for col in &self.finished {
             h = fold_hash(h, col.len() as u64);
             for v in col {
                 h = fold_hash(h, v.to_bits());
-            }
-        }
-        for ord in [&self.order_asc, &self.order_desc] {
-            for &g in ord.iter() {
-                h = fold_hash(h, u64::from(g));
             }
         }
         finish_hash(h)
@@ -550,58 +511,210 @@ impl GroupedResult {
         self.finished.len()
     }
 
-    /// Evaluate every `HAVING` conjunct for every group — conjuncts
-    /// short-circuit per group exactly like the reference engine, so a
-    /// NaN aggregate reached by the conjunct chain errors here even when
-    /// `LIMIT` would have cut the output walk short of that group.
+    /// The encoded lane `j` of group `g`'s key.
+    #[inline]
+    fn lane(&self, g: u32, j: usize) -> u64 {
+        match &self.keys {
+            GroupKeys::Lanes(arena) => arena[g as usize * self.width + j],
+            GroupKeys::Slots { slots, lanes } => {
+                let lane = &lanes[j];
+                lane.values[lane.code(slots[g as usize])]
+            }
+        }
+    }
+
+    /// Group `g`'s score: its first aggregate.
+    #[inline]
+    fn val(&self, g: u32) -> f64 {
+        self.finished.first().map_or(0.0, |v| v[g as usize])
+    }
+
+    /// Display text of an encoded lane `enc` of lane `j`, exactly as the
+    /// row-at-a-time engine renders it.
+    fn render(&self, j: usize, enc: u64) -> String {
+        match self.lane_types[j] {
+            ColumnType::Int => decode_i64(enc).to_string(),
+            ColumnType::Str => self.interner.resolve(Symbol(enc as u32)).to_string(),
+            ColumnType::Bool => (enc != 0).to_string(),
+            ColumnType::Float => unreachable!("float lanes are rejected in from_finished"),
+        }
+    }
+
+    /// Evaluate every `HAVING` conjunct for every group, one conjunct at a
+    /// time over the groups that passed the ones before it. That is the
+    /// reference engine's per-group short circuit, so a NaN aggregate
+    /// reached by the conjunct chain errors here even when `LIMIT` would
+    /// have cut the output walk short of that group.
     fn having_passes(&self, spec: &OutputSpec) -> Result<Vec<bool>> {
+        let mut passes = vec![true; self.num_groups];
         for h in &spec.having {
-            if h.agg_idx >= self.finished.len() {
-                return Err(QagError::internal(format!(
+            let vals = self.finished.get(h.agg_idx).ok_or_else(|| {
+                QagError::internal(format!(
                     "HAVING references aggregate {} but the grouped result has {}",
                     h.agg_idx,
                     self.finished.len()
-                )));
-            }
-        }
-        let mut passes = vec![true; self.num_groups];
-        'group: for (gid, pass) in passes.iter_mut().enumerate() {
-            for h in &spec.having {
-                let v = self.finished[h.agg_idx][gid];
-                let ord = v.partial_cmp(&h.value).ok_or_else(|| {
-                    QagError::Execution("NaN aggregate in HAVING comparison".to_string())
-                })?;
-                if !cmp_holds(h.op, ord) {
-                    *pass = false;
-                    continue 'group;
-                }
+                ))
+            })?;
+            let x = h.value;
+            // One loop per operator, so each compiles to a branch-free
+            // pass; on non-NaN scores each test is `cmp_holds` exactly.
+            let nan = match h.op {
+                CmpOp::Eq => refine(&mut passes, vals, |v| v == x),
+                CmpOp::Neq => refine(&mut passes, vals, |v| v != x),
+                CmpOp::Lt => refine(&mut passes, vals, |v| v < x),
+                CmpOp::Le => refine(&mut passes, vals, |v| v <= x),
+                CmpOp::Gt => refine(&mut passes, vals, |v| v > x),
+                CmpOp::Ge => refine(&mut passes, vals, |v| v >= x),
+            };
+            if nan {
+                return Err(QagError::Execution(
+                    "NaN aggregate in HAVING comparison".to_string(),
+                ));
             }
         }
         Ok(passes)
     }
 
-    /// Derive the answer relation for one output spec in `O(groups)`:
-    /// evaluate `HAVING` over every group, then walk the precomputed
-    /// permutation (or insertion order), stopping the expensive rendering
-    /// walk at `LIMIT`.
-    pub fn apply(&self, spec: &OutputSpec) -> Result<QueryOutput> {
-        let passes = self.having_passes(spec)?;
-        let mut rows = Vec::new();
-        match spec.order {
-            None => self.emit_rows(spec, 0..self.num_groups, &passes, &mut rows),
-            Some(OrderDir::Asc) => self.emit_rows(
-                spec,
-                self.order_asc.iter().map(|&g| g as usize),
-                &passes,
-                &mut rows,
-            ),
-            Some(OrderDir::Desc) => self.emit_rows(
-                spec,
-                self.order_desc.iter().map(|&g| g as usize),
-                &passes,
-                &mut rows,
-            ),
+    /// Encoded-key order of two groups, lane by lane: the reference
+    /// engine's tie-break between equal scores.
+    fn key_cmp(&self, a: u32, b: u32) -> Ordering {
+        (0..self.width)
+            .map(|j| self.lane(a, j).cmp(&self.lane(b, j)))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
+    /// The first `limit` of `gids` ranked by score in direction `dir`,
+    /// equal scores by ascending key. Only those `limit` are sorted.
+    fn rank_groups(
+        &self,
+        dir: OrderDir,
+        gids: impl Iterator<Item = u32>,
+        limit: usize,
+    ) -> Vec<u32> {
+        let flip = match dir {
+            OrderDir::Asc => 0,
+            OrderDir::Desc => u64::MAX,
+        };
+        let mut tagged: Vec<(u64, u32)> = gids
+            .map(|g| (f64_sort_bits(self.val(g)) ^ flip, g))
+            .collect();
+        let cmp =
+            |a: &(u64, u32), b: &(u64, u32)| a.0.cmp(&b.0).then_with(|| self.key_cmp(a.1, b.1));
+        if limit < tagged.len() {
+            if limit > 0 {
+                tagged.select_nth_unstable_by(limit - 1, cmp);
+            }
+            tagged.truncate(limit);
         }
+        tagged.sort_unstable_by(cmp);
+        tagged.into_iter().map(|(_, g)| g).collect()
+    }
+
+    /// `rank` walked in the opposite score direction: its equal-score runs
+    /// last to first, each kept in ascending key order.
+    fn reversed_runs<'a>(&'a self, rank: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
+        let mut hi = rank.len();
+        std::iter::from_fn(move || {
+            let bits = f64_sort_bits(self.val(*rank[..hi].last()?));
+            let lo = rank[..hi]
+                .iter()
+                .rposition(|&g| f64_sort_bits(self.val(g)) != bits)
+                .map_or(0, |p| p + 1);
+            let run = &rank[lo..hi];
+            hi = lo;
+            Some(run)
+        })
+        .flatten()
+        .copied()
+    }
+
+    /// The groups of the answer relation for `spec`, in output order: the
+    /// ones that pass `HAVING`, ranked by `ORDER BY` (group-id order
+    /// without one), cut at `LIMIT`.
+    fn pick(&self, spec: &OutputSpec) -> Result<Vec<u32>> {
+        let passes = self.having_passes(spec)?;
+        let limit = spec.limit.unwrap_or(usize::MAX);
+        let passing = |g: &u32| passes[*g as usize];
+        let all = 0..self.num_groups as u32;
+        let Some(dir) = spec.order else {
+            return Ok(all.filter(passing).take(limit).collect());
+        };
+        if self.applied.set(()).is_ok() {
+            return Ok(self.rank_groups(dir, all.filter(passing), limit));
+        }
+        let (rank_dir, rank) = self
+            .rank
+            .get_or_init(|| (dir, self.rank_groups(dir, all, usize::MAX)));
+        Ok(if *rank_dir == dir {
+            rank.iter().copied().filter(passing).take(limit).collect()
+        } else {
+            self.reversed_runs(rank)
+                .filter(passing)
+                .take(limit)
+                .collect()
+        })
+    }
+
+    /// Per-lane domains and row-major dense codes of `picked`: codes are
+    /// assigned in first-occurrence order over `picked`, and each distinct
+    /// lane value renders once, when it enters its domain.
+    fn recode(&self, picked: &[u32]) -> (Vec<Vec<String>>, Vec<u32>) {
+        let width = self.width;
+        let mut domains: Vec<Vec<String>> = vec![Vec::new(); width];
+        let mut codes: Vec<u32> = Vec::with_capacity(picked.len() * width);
+        match &self.keys {
+            GroupKeys::Slots { slots, lanes } => {
+                let mut remap: Vec<Vec<u32>> = lanes
+                    .iter()
+                    .map(|lane| vec![u32::MAX; lane.values.len()])
+                    .collect();
+                for &g in picked {
+                    for (j, lane) in lanes.iter().enumerate() {
+                        let code = lane.code(slots[g as usize]);
+                        let c = &mut remap[j][code];
+                        if *c == u32::MAX {
+                            *c = domains[j].len() as u32;
+                            domains[j].push(self.render(j, lane.values[code]));
+                        }
+                        codes.push(*c);
+                    }
+                }
+            }
+            GroupKeys::Lanes(arena) => {
+                let mut remap: Vec<FxHashMap<u64, u32>> = vec![FxHashMap::default(); width];
+                for &g in picked {
+                    let key = &arena[g as usize * width..(g as usize + 1) * width];
+                    for (j, &enc) in key.iter().enumerate() {
+                        let next = domains[j].len() as u32;
+                        let c = *remap[j].entry(enc).or_insert(next);
+                        if c == next {
+                            domains[j].push(self.render(j, enc));
+                        }
+                        codes.push(c);
+                    }
+                }
+            }
+        }
+        (domains, codes)
+    }
+
+    /// Derive the answer relation for one output spec as display rows:
+    /// evaluate `HAVING` over every group, then rank and render the groups
+    /// that pass, up to `LIMIT`.
+    pub fn apply(&self, spec: &OutputSpec) -> Result<QueryOutput> {
+        let picked = self.pick(spec)?;
+        let (domains, codes) = self.recode(&picked);
+        let rows = picked
+            .iter()
+            .enumerate()
+            .map(|(i, &g)| QueryRow {
+                attrs: (0..self.width)
+                    .map(|j| domains[j][codes[i * self.width + j] as usize].clone())
+                    .collect(),
+                val: self.val(g),
+            })
+            .collect();
         Ok(QueryOutput {
             attr_names: self.attr_names.clone(),
             val_name: spec.agg_alias.clone(),
@@ -610,112 +723,48 @@ impl GroupedResult {
     }
 
     /// Derive the answer relation for one output spec directly as a
-    /// dense-coded [`AnswerSet`], skipping the display-string round trip of
-    /// [`GroupedResult::apply`] + re-interning: group attributes are
-    /// re-coded straight from the interned pool codes, and each pool string
-    /// is cloned at most once (when it first enters a domain) instead of
-    /// once per row.
+    /// dense-coded [`AnswerSet`], in one pass over the groups that pass:
+    /// rank them, assign domain codes in first-occurrence order over that
+    /// ranking (rendering each distinct value once), then put the tuples
+    /// in the relation's rank order — score descending, equal scores by
+    /// code — for [`AnswerSet::from_ordered_parts`].
     ///
     /// Byte-for-byte identical to feeding [`GroupedResult::apply`]'s rows
-    /// through `qagview_lattice::AnswerSetBuilder`: domain codes are
-    /// assigned in the same first-occurrence-in-output order, and the final
-    /// ordering/uniqueness rules are shared via [`AnswerSet::from_rows`].
+    /// through `qagview_lattice::AnswerSetBuilder`, whose interning order
+    /// is that same first occurrence.
     pub fn apply_answers(&self, spec: &OutputSpec) -> Result<AnswerSet> {
-        let passes = self.having_passes(spec)?;
-        let limit = spec.limit.unwrap_or(usize::MAX);
-        let picked: Vec<usize> = match spec.order {
-            None => collect_passing(0..self.num_groups, &passes, limit),
-            Some(OrderDir::Asc) => {
-                collect_passing(self.order_asc.iter().map(|&g| g as usize), &passes, limit)
-            }
-            Some(OrderDir::Desc) => {
-                collect_passing(self.order_desc.iter().map(|&g| g as usize), &passes, limit)
+        let picked = self.pick(spec)?;
+        let (domains, codes) = self.recode(&picked);
+        let width = self.width;
+        let vals: Vec<f64> = picked.iter().map(|&g| self.val(g)).collect();
+        let bits = |i: u32| f64_sort_bits(vals[i as usize]);
+        let row = |i: u32| &codes[i as usize * width..(i as usize + 1) * width];
+        // Positions in `picked`, by score descending: the walk itself, its
+        // reverse, or (without ORDER BY) a sort.
+        let n = picked.len() as u32;
+        let mut order: Vec<u32> = match spec.order {
+            Some(OrderDir::Desc) => (0..n).collect(),
+            Some(OrderDir::Asc) => (0..n).rev().collect(),
+            None => {
+                let mut order: Vec<u32> = (0..n).collect();
+                order.sort_unstable_by_key(|&i| std::cmp::Reverse(bits(i)));
+                order
             }
         };
-        // Re-code each lane's pool indices densely in first-occurrence
-        // order over the emitted groups — the same order in which the
-        // string path would have interned the rendered values.
-        let mut domains: Vec<Vec<String>> = vec![Vec::new(); self.width];
-        let mut remap: Vec<Vec<u32>> = self
-            .attr_pool
-            .iter()
-            .map(|pool| vec![u32::MAX; pool.len()])
-            .collect();
-        let vals: &[f64] = self.finished.first().map_or(&[], |v| v.as_slice());
-        let mut rows: Vec<(Vec<u32>, f64)> = Vec::with_capacity(picked.len());
-        for &gid in &picked {
-            let mut codes = Vec::with_capacity(self.width);
-            for (j, &pool_code) in self.attr_codes[gid * self.width..(gid + 1) * self.width]
+        // Equal scores tie-break on the new codes, not the encoded keys.
+        let mut lo = 0;
+        while lo < order.len() {
+            let run_bits = bits(order[lo]);
+            let len = order[lo..]
                 .iter()
-                .enumerate()
-            {
-                let slot = &mut remap[j][pool_code as usize];
-                if *slot == u32::MAX {
-                    *slot = domains[j].len() as u32;
-                    domains[j].push(self.attr_pool[j][pool_code as usize].clone());
-                }
-                codes.push(*slot);
-            }
-            rows.push((codes, if vals.is_empty() { 0.0 } else { vals[gid] }));
+                .position(|&i| bits(i) != run_bits)
+                .unwrap_or(order.len() - lo);
+            order[lo..lo + len].sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+            lo += len;
         }
-        AnswerSet::from_rows(self.attr_names.clone(), domains, rows)
-    }
-
-    /// Walk `gids` in order, rendering the groups that passed `HAVING`,
-    /// stopping at the limit.
-    fn emit_rows(
-        &self,
-        spec: &OutputSpec,
-        gids: impl Iterator<Item = usize>,
-        passes: &[bool],
-        rows: &mut Vec<QueryRow>,
-    ) {
-        let limit = spec.limit.unwrap_or(usize::MAX);
-        for gid in gids {
-            if rows.len() >= limit {
-                break;
-            }
-            if !passes[gid] {
-                continue;
-            }
-            let attrs = self.attr_codes[gid * self.width..(gid + 1) * self.width]
-                .iter()
-                .enumerate()
-                .map(|(j, &code)| self.attr_pool[j][code as usize].clone())
-                .collect();
-            rows.push(QueryRow {
-                attrs,
-                val: self.finished.first().map_or(0.0, |v| v[gid]),
-            });
-        }
-    }
-}
-
-/// Walk `gids` in order, collecting the groups that passed `HAVING` until
-/// the limit is reached.
-fn collect_passing(gids: impl Iterator<Item = usize>, passes: &[bool], limit: usize) -> Vec<usize> {
-    let mut out = Vec::new();
-    for gid in gids {
-        if out.len() >= limit {
-            break;
-        }
-        if passes[gid] {
-            out.push(gid);
-        }
-    }
-    out
-}
-
-/// Render one encoded group-key lane back to display text, matching the
-/// row-at-a-time path's rendering exactly.
-fn render_part(table: &Table, col: usize, enc: u64) -> Result<String> {
-    match table.column(col) {
-        Column::Int(_) => Ok(decode_i64(enc).to_string()),
-        Column::Str(_) => Ok(table.interner().resolve(Symbol(enc as u32)).to_string()),
-        Column::Bool(_) => Ok((enc != 0).to_string()),
-        Column::Float(_) => Err(QagError::internal(
-            "float group keys are rejected at bind time".to_string(),
-        )),
+        let vals = order.iter().map(|&i| vals[i as usize]).collect();
+        let codes = order.iter().flat_map(|&i| row(i)).copied().collect();
+        AnswerSet::from_ordered_parts(self.attr_names.clone(), domains, codes, vals)
     }
 }
 
@@ -750,7 +799,7 @@ mod tests {
         gt.assign(&batch, &hashes_of(&batch, 2), 4, &mut gids);
         assert_eq!(gids, vec![0, 1, 0, 2]);
         assert_eq!(gt.num_groups(), 3);
-        assert_eq!(gt.key(1), &[2, 2]);
+        assert_eq!(&gt.key_arena()[2..4], &[2, 2]);
         // A second batch continues the same id space.
         let batch = [3u64, 3, 9, 9];
         gt.assign(&batch, &hashes_of(&batch, 2), 2, &mut gids);

@@ -54,7 +54,7 @@
 //! domains on tables of at least [`PARALLEL_MIN_ROWS`] rows.
 
 use crate::exec::{apply_predicate, encode_keys, plan_agg_inputs, AggInputs, BATCH_ROWS};
-use crate::group::{fold_hash, AggColumns, GroupCounts, GroupTable, GroupedResult};
+use crate::group::{fold_hash, AggColumns, GroupCounts, GroupKeys, GroupTable, GroupedResult};
 use crate::plan::GroupSpec;
 use qagview_common::Result;
 use qagview_storage::selection::{gather_f64, gather_i64_as_f64, SelectionVector};
@@ -416,12 +416,12 @@ pub fn group_aggregate_parallel_with(
     }
 
     stats.merge(run_stats);
+    let num_groups = gt.num_groups();
     GroupedResult::finish(
+        spec,
         table,
-        &spec.group_cols,
-        spec.group_names.clone(),
-        &spec.aggs,
-        gt,
+        GroupKeys::hashed(gt),
+        num_groups,
         &counts,
         &acc,
     )

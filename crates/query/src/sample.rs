@@ -56,7 +56,7 @@
 //! first paint advertises its least-trustworthy group.
 
 use crate::exec::{apply_predicate, encode_keys, plan_agg_inputs, AggInputs, BATCH_ROWS};
-use crate::group::{finish_hash, fold_hash, GroupTable, GroupedResult};
+use crate::group::{finish_hash, fold_hash, GroupKeys, GroupTable, GroupedResult};
 use crate::plan::GroupSpec;
 use qagview_common::Result;
 use qagview_storage::selection::{gather_f64, gather_i64_as_f64, SelectionVector};
@@ -398,10 +398,10 @@ pub fn group_aggregate_sampled(
     }
 
     let result = GroupedResult::from_finished(
+        spec,
         table,
-        &spec.group_cols,
-        spec.group_names.clone(),
-        &gt,
+        GroupKeys::hashed(&mut gt),
+        num_groups,
         finished,
     )?;
     Ok(SampledResult {

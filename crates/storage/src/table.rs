@@ -4,7 +4,7 @@ use crate::column::{Column, DenseCodes};
 use crate::schema::{ColumnType, Schema};
 use qagview_common::wire::Checksum64;
 use qagview_common::{Interner, QagError, Result, Symbol, Value};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A cell value supplied when building a table row.
 ///
@@ -60,7 +60,9 @@ impl From<bool> for Cell {
 pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
-    interner: Interner,
+    /// Shared, so results that render symbols (a finished group phase)
+    /// can hold it without borrowing the table or copying its strings.
+    interner: Arc<Interner>,
     rows: usize,
     /// Per column, its dense code table, computed on first use.
     dense_codes: Vec<OnceLock<Option<DenseCodes>>>,
@@ -100,6 +102,12 @@ impl Table {
     /// The interner shared by all string columns of this table.
     pub fn interner(&self) -> &Interner {
         &self.interner
+    }
+
+    /// A shared handle on [`Table::interner`], for results that outlive
+    /// a borrow of the table but still resolve its symbols.
+    pub fn shared_interner(&self) -> Arc<Interner> {
+        Arc::clone(&self.interner)
     }
 
     /// Read cell `(row, col)` as a dynamic value.
@@ -287,7 +295,7 @@ impl TableBuilder {
             dense_codes: self.columns.iter().map(|_| OnceLock::new()).collect(),
             schema: self.schema,
             columns: self.columns,
-            interner: self.interner,
+            interner: Arc::new(self.interner),
             rows: self.rows,
         }
     }
