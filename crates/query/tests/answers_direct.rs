@@ -333,9 +333,11 @@ fn spread_table() -> Table {
 #[test]
 fn a_cached_group_phase_reapplied_at_many_thresholds_matches_fresh_phases() {
     // The first ordered apply of a phase ranks only what passes; every
-    // later one walks a rank of all groups built on the second. Each
-    // re-apply of one cached phase must equal the first apply of a fresh
-    // phase at the same threshold, on either side of that boundary.
+    // later one walks a rank of all groups built by the second, in that
+    // apply's direction, and walks the other direction as its run-wise
+    // reverse. Each re-apply of one cached phase must equal the first
+    // apply of a fresh phase, on either side of that boundary and with
+    // the rank built in either direction.
     let t = spread_table();
     let query = |threshold: usize, tail: &str| {
         format!(
@@ -343,14 +345,18 @@ fn a_cached_group_phase_reapplied_at_many_thresholds_matches_fresh_phases() {
              HAVING count(*) > {threshold}{tail}"
         )
     };
-    for tail in [
-        " ORDER BY val DESC",
-        " ORDER BY val ASC",
-        " ORDER BY val DESC LIMIT 7",
-        " ORDER BY val ASC LIMIT 3",
-        " LIMIT 4",
+    let desc = " ORDER BY val DESC";
+    let asc = " ORDER BY val ASC";
+    let desc_7 = " ORDER BY val DESC LIMIT 7";
+    let asc_3 = " ORDER BY val ASC LIMIT 3";
+    let unordered = " LIMIT 4";
+    // The second apply of a phase builds its rank in the direction of the
+    // first tail: descending in the first pass, ascending in the second.
+    for tails in [
+        [desc, asc, desc_7, asc_3, unordered],
+        [asc, desc, asc_3, desc_7, unordered],
     ] {
-        let base = bind(&parse(&query(0, tail)).unwrap(), &t).unwrap();
+        let base = bind(&parse(&query(0, desc)).unwrap(), &t).unwrap();
         let mut gt = GroupTable::new(0);
         let cached = [
             group_aggregate(&base.group, &t).unwrap(),
@@ -359,22 +365,24 @@ fn a_cached_group_phase_reapplied_at_many_thresholds_matches_fresh_phases() {
                 .unwrap(),
         ];
         for threshold in [0, 5, 1, 11, 3, 100, 0, 8] {
-            let sql = query(threshold, tail);
-            let bound = bind(&parse(&sql).unwrap(), &t).unwrap();
-            let fresh = group_aggregate(&bound.group, &t).unwrap();
-            let want = fresh.apply_answers(&bound.output);
-            for phase in &cached {
-                assert_same(&phase.apply_answers(&bound.output), &want, &sql);
-                assert_eq!(
-                    phase.apply(&bound.output).unwrap(),
-                    group_aggregate(&bound.group, &t)
-                        .unwrap()
-                        .apply(&bound.output)
-                        .unwrap(),
-                    "{sql}"
-                );
+            for tail in tails {
+                let sql = query(threshold, tail);
+                let bound = bind(&parse(&sql).unwrap(), &t).unwrap();
+                let fresh = group_aggregate(&bound.group, &t).unwrap();
+                let want = fresh.apply_answers(&bound.output);
+                for phase in &cached {
+                    assert_same(&phase.apply_answers(&bound.output), &want, &sql);
+                    assert_eq!(
+                        phase.apply(&bound.output).unwrap(),
+                        group_aggregate(&bound.group, &t)
+                            .unwrap()
+                            .apply(&bound.output)
+                            .unwrap(),
+                        "{sql}"
+                    );
+                }
+                assert_same(&want, &oracle(&bound, &t), &sql);
             }
-            assert_same(&want, &oracle(&bound, &t), &sql);
         }
     }
 }
