@@ -39,12 +39,10 @@
 //!   vectorized batched engine (cold), and cold re-execution vs `O(groups)`
 //!   threshold re-evaluation from a cached `GroupedResult` (the §6
 //!   interactive-loop hot path);
-//! * **n scaling** — the same paper query's group phase, sequential vs
-//!   morsel-parallel (ordered partition merge), as the base relation grows
-//!   100× (N ∈ {50k, 500k, 5M}; streaming datagen, fingerprint-identical
-//!   results asserted before timing). Per-row throughput is recorded per
-//!   point; the parallel arm's throughput is a core-scaling metric and is
-//!   only comparable between runs with equal `threads`. An informational
+//! * **n scaling** — the same paper query's group phase, hashed
+//!   sequential, as the base relation grows 100× (N ∈ {50k, 500k, 5M};
+//!   streaming datagen, fingerprint-identical results asserted before
+//!   timing). Per-row throughput is recorded per point. An informational
 //!   `auto` arm times `group_aggregate_auto`, the dispatch sessions run;
 //! * **session tick** — end-to-end command latency of the owned
 //!   exploration engine on the same table: a warm `SetThreshold` slider
@@ -73,8 +71,8 @@ use qagview_interactive::{
 };
 use qagview_lattice::{AnswerSet, CandidateIndex};
 use qagview_query::{
-    bind, execute, execute_rows, group_aggregate, group_aggregate_auto, group_aggregate_parallel,
-    parse, GroupTable, ParallelConfig, ParallelScanStats,
+    bind, execute, execute_rows, group_aggregate, group_aggregate_auto, parse, GroupTable,
+    ParallelScanStats,
 };
 use qagview_storage::{Catalog, TableBuilder};
 use std::fmt::Write as _;
@@ -502,35 +500,24 @@ fn bench_store_warm_start(all_ok: &mut bool) -> String {
     )
 }
 
-/// The `n_scaling` section: sequential vs morsel-parallel group phase of
-/// the paper query as the base relation grows 100× (N ∈ {50k, 500k, 5M}),
+/// The `n_scaling` section: the hashed sequential group phase of the
+/// paper query as the base relation grows 100× (N ∈ {50k, 500k, 5M}),
 /// plus the dispatching `group_aggregate_auto` that sessions run.
 ///
 /// Each table is materialized through the streaming generator
 /// ([`movielens::iter_rows`]), so generation allocates O(users + movies)
-/// beyond the table itself, and is dropped before the next point. All
-/// three arms are asserted fingerprint-identical before anything is timed.
+/// beyond the table itself, and is dropped before the next point. Both
+/// arms are asserted fingerprint-identical before anything is timed.
 ///
+/// The trajectory gate enforces the sequential per-row throughput.
 /// `auto_ms`/`auto_mrows_per_s` time what a session's cold open runs (the
 /// direct-indexed scan, for this query). They are informational: the
 /// trajectory gate does not enforce them. The first auto call also builds
 /// the table's cached code tables, so timing starts after it.
-///
-/// The parallel arm always runs the full morsel + ordered-merge pipeline
-/// (partitions ≥ 2 even on a single-core host), so on 1 CPU its
-/// throughput measures pipeline overhead, not core scaling. The
-/// trajectory gate therefore always enforces the *sequential* per-row
-/// throughput and treats `par_mrows_per_s` as a core-scaling metric,
-/// skipped whenever the committed and fresh `threads` counts differ.
-fn bench_n_scaling(threads: usize, all_ok: &mut bool) -> String {
+fn bench_n_scaling(all_ok: &mut bool) -> String {
     let sql = "SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable \
                GROUP BY hdec, agegrp, gender, occupation \
                HAVING count(*) > 10 ORDER BY val DESC LIMIT 100";
-    let partitions = threads.max(2);
-    let cfg = ParallelConfig {
-        threads: partitions,
-        ..ParallelConfig::default()
-    };
     let mut points = Vec::new();
     for &(n, reps) in &[(50_000usize, 5usize), (500_000, 3), (5_000_000, 2)] {
         let t = Instant::now();
@@ -546,15 +533,9 @@ fn bench_n_scaling(threads: usize, all_ok: &mut bool) -> String {
         let rows = table.num_rows();
         let bound = bind(&parse(sql).unwrap(), &table).expect("bind");
 
-        // Identity before timing: the ordered merge must reproduce the
-        // sequential group phase bit-for-bit at every scale.
+        // Identity before timing: the dispatched scan must reproduce the
+        // hashed group phase bit-for-bit at every scale.
         let seq = group_aggregate(&bound.group, &table).expect("sequential group phase");
-        let par = group_aggregate_parallel(&bound.group, &table, &cfg).expect("parallel scan");
-        assert_eq!(
-            seq.result_fingerprint(),
-            par.result_fingerprint(),
-            "parallel group phase diverges from sequential at n={n}"
-        );
         let mut scratch = GroupTable::new(0);
         let mut scan = ParallelScanStats::default();
         let auto = group_aggregate_auto(&bound.group, &table, &mut scratch, &mut scan)
@@ -565,22 +546,17 @@ fn bench_n_scaling(threads: usize, all_ok: &mut bool) -> String {
             "auto group phase diverges from sequential at n={n}"
         );
         let groups = seq.num_groups();
-        drop((seq, par, auto));
+        drop((seq, auto));
 
         let seq_ms = time_best_ms(reps, || group_aggregate(&bound.group, &table).unwrap());
-        let par_ms = time_best_ms(reps, || {
-            group_aggregate_parallel(&bound.group, &table, &cfg).unwrap()
-        });
         let auto_ms = time_best_ms(reps, || {
             group_aggregate_auto(&bound.group, &table, &mut scratch, &mut scan).unwrap()
         });
         let seq_mrows = rows as f64 / seq_ms / 1e3;
-        let par_mrows = rows as f64 / par_ms / 1e3;
         let auto_mrows = rows as f64 / auto_ms / 1e3;
         eprintln!(
             "n-scaling n={n}: gen {gen_ms:.0} ms, {rows} rows, {groups} groups; \
              seq {seq_ms:.2} ms ({seq_mrows:.1} Mrows/s), \
-             par×{partitions} {par_ms:.2} ms ({par_mrows:.1} Mrows/s), \
              auto {auto_ms:.2} ms ({auto_mrows:.1} Mrows/s, {} direct scans)",
             scan.direct_scans
         );
@@ -591,12 +567,12 @@ fn bench_n_scaling(threads: usize, all_ok: &mut bool) -> String {
             eprintln!("  WARNING: sequential group phase below 1 Mrows/s at n={n}");
         }
         points.push(format!(
-            r#"      {{ "n": {n}, "rows": {rows}, "groups": {groups}, "gen_ms": {gen_ms:.1}, "seq_ms": {seq_ms:.3}, "par_ms": {par_ms:.3}, "seq_mrows_per_s": {seq_mrows:.2}, "par_mrows_per_s": {par_mrows:.2}, "auto_ms": {auto_ms:.3}, "auto_mrows_per_s": {auto_mrows:.2} }}"#
+            r#"      {{ "n": {n}, "rows": {rows}, "groups": {groups}, "gen_ms": {gen_ms:.1}, "seq_ms": {seq_ms:.3}, "seq_mrows_per_s": {seq_mrows:.2}, "auto_ms": {auto_ms:.3}, "auto_mrows_per_s": {auto_mrows:.2} }}"#
         ));
     }
 
     format!(
-        "  \"n_scaling\": {{\n    \"what\": \"sequential vs morsel-parallel group phase of the paper query as N grows 100x, plus the dispatching group_aggregate_auto (informational, not gated); tables stream from the seeded generator and all arms are asserted fingerprint-identical before timing; par_mrows_per_s is core-scaling and only comparable between runs with equal threads\",\n    \"sql\": \"SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable GROUP BY hdec, agegrp, gender, occupation HAVING count(*) > 10 ORDER BY val DESC LIMIT 100\",\n    \"partitions\": {partitions},\n    \"threads\": {threads},\n    \"points\": [\n{}\n    ]\n  }}",
+        "  \"n_scaling\": {{\n    \"what\": \"hashed sequential group phase of the paper query as N grows 100x, plus the dispatching group_aggregate_auto (informational, not gated); tables stream from the seeded generator and both arms are asserted fingerprint-identical before timing\",\n    \"sql\": \"SELECT hdec, agegrp, gender, occupation, AVG(rating) AS val FROM ratingtable GROUP BY hdec, agegrp, gender, occupation HAVING count(*) > 10 ORDER BY val DESC LIMIT 100\",\n    \"points\": [\n{}\n    ]\n  }}",
         points.join(",\n")
     )
 }
@@ -996,7 +972,7 @@ fn main() {
     }
 
     let query_exec = bench_query_exec(&mut all_ok);
-    let n_scaling = bench_n_scaling(threads, &mut all_ok);
+    let n_scaling = bench_n_scaling(&mut all_ok);
     let session_tick = bench_session_tick(&mut all_ok);
     let store_warm_start = bench_store_warm_start(&mut all_ok);
     let progressive = bench_progressive_first_paint(&mut all_ok);

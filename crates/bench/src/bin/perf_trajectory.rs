@@ -88,12 +88,6 @@ fn enforced(doc: &Json) -> Vec<(String, f64)> {
                 format!("n_scaling[n={n}].seq_mrows_per_s"),
                 p.get("seq_mrows_per_s"),
             );
-            // Core-scaling metric: `run` drops it when the committed and
-            // fresh runs saw different thread counts.
-            push(
-                format!("n_scaling[n={n}].par_mrows_per_s"),
-                p.get("par_mrows_per_s"),
-            );
         }
     }
     // `candidate_build.lazy_build_ms` stays informational: it times only
@@ -134,26 +128,9 @@ fn run(committed_path: &Path, fresh_path: &Path) -> Result<bool, String> {
     let committed = read_doc(committed_path, "committed")?;
     let fresh = read_doc(fresh_path, "fresh")?;
 
-    let mut committed_metrics = enforced(&committed);
-    let mut fresh_metrics = enforced(&fresh);
+    let committed_metrics = enforced(&committed);
+    let fresh_metrics = enforced(&fresh);
 
-    // Core-scaling metrics (parallel per-row throughput) only mean
-    // something when both runs had the same number of cores to scale
-    // onto; a baseline committed from a 1-thread CI host must not gate a
-    // 16-thread dev box (or vice versa).
-    let threads_of = |doc: &Json| doc.get("threads").and_then(Json::as_f64);
-    let (ct, ft) = (threads_of(&committed), threads_of(&fresh));
-    if ct != ft {
-        let is_core_scaling = |name: &str| name.ends_with(".par_mrows_per_s");
-        committed_metrics.retain(|(n, _)| !is_core_scaling(n));
-        fresh_metrics.retain(|(n, _)| !is_core_scaling(n));
-        println!(
-            "note: thread counts differ (committed {}, fresh {}); \
-             core-scaling metrics (*.par_mrows_per_s) are not compared",
-            ct.map_or("?".into(), |v| format!("{v:.0}")),
-            ft.map_or("?".into(), |v| format!("{v:.0}")),
-        );
-    }
     let mut names: Vec<String> = committed_metrics
         .iter()
         .map(|(n, _)| n.clone())

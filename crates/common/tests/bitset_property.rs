@@ -1,7 +1,6 @@
-//! Property tests for the fused word-level bitset kernels: on arbitrary
-//! sets — including word-boundary capacities — `union_count_sum` and
-//! `difference_count_sum` must agree bit-for-bit with the naive per-bit
-//! loops they replace.
+//! Property tests for the fused word-level bitset kernel: on arbitrary
+//! sets — including word-boundary capacities — `difference_count_sum`
+//! must agree bit-for-bit with the naive per-bit loop it replaces.
 
 use proptest::prelude::*;
 use qagview_common::FixedBitSet;
@@ -38,7 +37,7 @@ fn arb_set_pair() -> impl Strategy<Value = (FixedBitSet, FixedBitSet, Vec<f64>)>
     })
 }
 
-/// Reference semantics via the per-bit probes the kernels replace.
+/// Reference semantics via the per-bit probes.
 fn per_bit_difference(a: &FixedBitSet, b: &FixedBitSet, vals: &[f64]) -> (f64, u32) {
     let mut sum = 0.0;
     let mut cnt = 0u32;
@@ -75,15 +74,6 @@ proptest! {
         prop_assert_eq!(fused.0.to_bits(), naive.0.to_bits());
     }
 
-    /// `union_count_sum` == the naive `contains` loop, bit-for-bit.
-    #[test]
-    fn union_kernel_matches_per_bit((a, b, vals) in arb_set_pair()) {
-        let fused = a.union_count_sum(&b, &vals);
-        let naive = per_bit_union(&a, &b, &vals);
-        prop_assert_eq!(fused.1, naive.1);
-        prop_assert_eq!(fused.0.to_bits(), naive.0.to_bits());
-    }
-
     /// `union_with` keeps `count_ones` exact and equals the element-wise or.
     #[test]
     fn union_with_matches_element_wise((a, b, _vals) in arb_set_pair()) {
@@ -98,14 +88,14 @@ proptest! {
         prop_assert_eq!(u.count_ones(), expected);
     }
 
-    /// Difference and union decompose: |a∪b| = |a\b| + |b|, and the same
-    /// for sums (up to the exact float order, so compare via recomposition
-    /// with a tolerance-free integer count plus a 1-ulp-scale epsilon on
-    /// the sum).
+    /// The difference kernel decomposes the union: |a∪b| = |a\b| + |b|,
+    /// and the same for sums (up to the exact float order, so compare via
+    /// recomposition with a tolerance-free integer count plus a
+    /// 1-ulp-scale epsilon on the sum).
     #[test]
     fn kernels_decompose((a, b, vals) in arb_set_pair()) {
         let (dsum, dcnt) = a.difference_count_sum(&b, &vals);
-        let (usum, ucnt) = a.union_count_sum(&b, &vals);
+        let (usum, ucnt) = per_bit_union(&a, &b, &vals);
         let bsum: f64 = b.iter_ones().map(|i| vals[i]).sum();
         prop_assert_eq!(ucnt, dcnt + b.count_ones() as u32);
         prop_assert!((usum - (dsum + bsum)).abs() < 1e-9);

@@ -27,17 +27,12 @@ pub enum EvalMode {
     /// the last round's coverage diff (30× reported speed-up).
     #[default]
     Delta,
-    /// Explicitly-approximate evaluation: every marginal is a fresh fused
-    /// scan through the 4-way-accumulator kernel
-    /// (`WorkingSet::marginal_fused_relaxed`, `relaxed-kernels`
-    /// feature), whose sums match the strict path within a documented
-    /// `1e-9` relative tolerance — never bit-for-bit. Only the
-    /// progressive pipeline's *approximate* plane builds select this
-    /// mode, where results already carry error bars that dwarf the
-    /// kernel tolerance; byte-identity paths (exact plane builds, stored
-    /// solutions, refinement) must keep using [`EvalMode::Delta`].
-    /// Without the feature the mode falls back to the strict fused
-    /// kernel, keeping the mode choice compile-safe.
+    /// The mode of the progressive pipeline's *approximate* plane builds:
+    /// every marginal is a fresh fused scan
+    /// ([`WorkingSet::marginal_fused`]), with no Delta-Judgment cache.
+    /// Byte-identity paths (exact plane builds, stored solutions,
+    /// refinement) keep using [`EvalMode::Delta`]. Kept as its own mode
+    /// because stored planes record it (store tag 2).
     Relaxed,
 }
 
@@ -91,9 +86,6 @@ impl Evaluator {
         match self.mode {
             EvalMode::Naive => w.marginal_naive(id),
             EvalMode::Delta => self.cache.marginal(w, id),
-            #[cfg(feature = "relaxed-kernels")]
-            EvalMode::Relaxed => w.marginal_fused_relaxed(id),
-            #[cfg(not(feature = "relaxed-kernels"))]
             EvalMode::Relaxed => w.marginal_fused(id),
         }
     }
@@ -307,24 +299,6 @@ impl<'a> WorkingSet<'a> {
         let info = self.index.info(id);
         match &info.cov_bits {
             Some(bits) => bits.difference_count_sum(&self.covered, self.answers.vals()),
-            None => self.marginal_naive(id),
-        }
-    }
-
-    /// Relaxed fused marginal: [`WorkingSet::marginal_fused`] over the
-    /// 4-way-accumulator kernel
-    /// ([`FixedBitSet::difference_count_sum_relaxed`]), for the
-    /// mid-coverage regime where the strict kernel's serial FP dependency
-    /// chain dominates. The count is exact; the sum matches the strict
-    /// path within the kernel's documented `1e-9` relative tolerance, not
-    /// bit-for-bit — so this must never feed the byte-identity paths
-    /// (greedy descents, plane builds, stored solutions). Sparse
-    /// candidates fall through to the (exact) naive walk.
-    #[cfg(feature = "relaxed-kernels")]
-    pub fn marginal_fused_relaxed(&self, id: CandId) -> (f64, u32) {
-        let info = self.index.info(id);
-        match &info.cov_bits {
-            Some(bits) => bits.difference_count_sum_relaxed(&self.covered, self.answers.vals()),
             None => self.marginal_naive(id),
         }
     }
@@ -835,10 +809,8 @@ mod tests {
         assert_eq!(sol.covered, 3);
     }
 
-    /// The explicitly-approximate evaluator mode answers every marginal
-    /// with an exact count and a sum within the relaxed kernel's `1e-9`
-    /// relative tolerance of the naive oracle — with the feature off it
-    /// degenerates to the strict fused kernel and matches bit-for-bit.
+    /// The approximate-plane evaluator mode runs the strict fused kernel,
+    /// so every marginal matches the naive oracle bit-for-bit.
     #[test]
     fn relaxed_eval_mode_tracks_naive_within_tolerance() {
         let s = answers();
@@ -848,67 +820,13 @@ mod tests {
         for (id, _) in idx.iter() {
             let (nsum, ncnt) = w.marginal_naive(id);
             let (rsum, rcnt) = relaxed.marginal(&w, id);
-            assert_eq!(ncnt, rcnt, "counts are exact in every mode");
-            let scale = nsum.abs().max(1.0);
-            assert!(
-                (rsum - nsum).abs() <= 1e-9 * scale,
+            assert_eq!(ncnt, rcnt, "candidate {id}: count");
+            assert_eq!(
+                rsum.to_bits(),
+                nsum.to_bits(),
                 "candidate {id}: relaxed-mode {rsum} vs naive {nsum}"
             );
         }
         assert!(relaxed.eval_calls() > 0);
-    }
-
-    /// Differential contract of the relaxed marginal against the strict
-    /// path on a working set large enough to densify broad candidates:
-    /// exact counts everywhere, dense sums within the kernel's documented
-    /// `1e-9` relative tolerance, sparse candidates bit-identical (they
-    /// share the exact naive walk).
-    #[cfg(feature = "relaxed-kernels")]
-    #[test]
-    fn relaxed_marginal_matches_strict_within_tolerance() {
-        let mut b = AnswerSetBuilder::new(vec!["a".into(), "b".into()]);
-        let mut state = 0x0123_4567_89ab_cdefu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        // 20 × 25 unique tuples with mixed-magnitude scores: star patterns
-        // cover ~20-25 of 500 tuples, past the n/64 density threshold.
-        for i in 0..20 {
-            for j in 0..25 {
-                let val = match next() % 3 {
-                    0 => (next() % 1000) as f64 * 1e-6,
-                    1 => (next() % 1000) as f64 * 1e3,
-                    _ => (next() % 100_000) as f64 / 128.0,
-                };
-                b.push(&[&format!("a{i}"), &format!("b{j}")], val).unwrap();
-            }
-        }
-        let s = b.finish().unwrap();
-        let idx = CandidateIndex::build(&s, 300).unwrap();
-        let w = WorkingSet::with_top_l_singletons(&s, &idx).unwrap();
-        let mut dense_seen = 0usize;
-        for (id, info) in idx.iter() {
-            let (strict_sum, strict_cnt) = w.marginal_fused(id);
-            let (relaxed_sum, relaxed_cnt) = w.marginal_fused_relaxed(id);
-            assert_eq!(strict_cnt, relaxed_cnt, "counts are order-free");
-            if info.cov_bits.is_some() {
-                dense_seen += 1;
-                let scale = strict_sum.abs().max(1.0);
-                assert!(
-                    (relaxed_sum - strict_sum).abs() <= 1e-9 * scale,
-                    "dense candidate {id}: relaxed {relaxed_sum} vs strict {strict_sum}"
-                );
-            } else {
-                assert_eq!(
-                    strict_sum.to_bits(),
-                    relaxed_sum.to_bits(),
-                    "sparse candidate {id} shares the exact naive walk"
-                );
-            }
-        }
-        assert!(dense_seen > 0, "test must exercise the dense kernel");
     }
 }

@@ -349,10 +349,8 @@ pub struct ExplorerStats {
     pub summarizers: LayerStats,
     /// Persistent store tier (the disk backing of layers 2 and 3).
     pub store: StoreLayerStats,
-    /// Group-scan path counters across every group-phase cache miss:
-    /// direct-indexed scans, and morsel-parallel scans with their worker
-    /// counters (zero while scans stay direct or below the parallel
-    /// threshold).
+    /// Group-scan path counters across every group-phase cache miss: how
+    /// many exact scans took the direct-indexed codec.
     pub scan: ParallelScanStats,
     /// Lock-poison recoveries per layer.
     pub poison: PoisonStats,
@@ -1253,10 +1251,11 @@ impl Explorer {
         let full_bytes = rel_bytes.saturating_add(plane_est);
         let shed_plane = budget.is_some_and(|b| full_bytes > b);
 
-        // Approximate planes may be built with relaxed kernels, so they
-        // must never alias an exact plane — even when the sampled
-        // relation happens to be content-identical to the exact one
-        // (small tables, roomy sample budget).
+        // Approximate planes carry another evaluator tag
+        // (`EvalMode::Relaxed`) and approximate fidelity, so they must
+        // never alias an exact plane — even when the sampled relation
+        // happens to be content-identical to the exact one (small tables,
+        // roomy sample budget).
         let plane_fp = if approx {
             combine(base_fp, self.cfg.sample.fingerprint())
         } else {
@@ -1306,11 +1305,10 @@ impl Explorer {
                                     d_min: 0,
                                     d_max: m,
                                     pool_factor: self.cfg.pool_factor,
-                                    // Approximate planes are built over
-                                    // estimates anyway, so they may take
-                                    // the relaxed (reassociated) marginal
-                                    // kernels; byte-identity paths keep
-                                    // the strict delta evaluator.
+                                    // Approximate planes score every
+                                    // marginal with a fresh fused scan;
+                                    // byte-identity paths keep the
+                                    // delta evaluator.
                                     eval: if approx {
                                         EvalMode::Relaxed
                                     } else {

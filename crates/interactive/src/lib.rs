@@ -21,11 +21,11 @@
 //! `D`) with knee-point and flat-region detection for the §6.1 visual guide.
 //!
 //! The same incremental philosophy applies one layer down, at the query
-//! that produces the answer relation in the first place:
-//! [`session::QuerySession`] caches the finished group phase of every
+//! that produces the answer relation in the first place: the first cache
+//! layer of [`explore::Explorer`] keeps the finished group phase of every
 //! query it runs, so moving a `HAVING` threshold (or flipping `ORDER BY`
-//! / `LIMIT`) re-derives `S` in `O(groups)` from the cached group table
-//! instead of rescanning the base relation.
+//! / `LIMIT`) re-derives `S` in `O(groups)` instead of rescanning the
+//! base relation.
 //!
 //! All of it comes together in [`explore::Explorer`]: an owned,
 //! `Send + Sync` engine that stacks the three cache layers (group phases,
@@ -45,7 +45,6 @@ pub mod explore;
 pub mod interval_tree;
 pub mod plot;
 pub mod precompute;
-pub mod session;
 pub mod store;
 
 pub use cache::{LayerStats, LruCache};
@@ -63,5 +62,4 @@ pub use interval_tree::IntervalTree;
 pub use plot::{DSeries, GuidancePlot};
 pub use precompute::{DescentEngine, PrecomputeConfig, Precomputed};
 pub use qagview_query::{SampleSpec, SampleStats};
-pub use session::QuerySession;
 pub use store::{GcReport, StoreReader};

@@ -138,8 +138,8 @@ pub mod prelude {
         store, CacheLayer, CacheOutcome, CacheProvenance, ClusterView, Degradation, ExploreCommand,
         ExploreResponse, ExploreSession, ExploreState, Explorer, ExplorerConfig, ExplorerStats,
         Fidelity, FidelityMode, GcReport, GuidancePlot, PoisonStats, PrecomputeConfig, Precomputed,
-        QuerySession, SampleSpec, SampleStats, SessionSpec, StoreFileKind, StoreKindStats,
-        StoreLayerStats, StoreReader, SummaryView,
+        SampleSpec, SampleStats, SessionSpec, StoreFileKind, StoreKindStats, StoreLayerStats,
+        StoreReader, SummaryView,
     };
     pub use qagview_lattice::{
         AnswerSet, AnswerSetBuilder, AnswersHandle, CandidateIndex, Pattern, STAR,

@@ -196,8 +196,8 @@ pub(crate) fn encode_keys(
 
 /// The distinct aggregate input columns of a query and, per aggregate, the
 /// index of the distinct column it reads (`None` for `COUNT`). Shared by
-/// the sequential scan and the morsel-parallel workers so both gather each
-/// distinct column exactly once per batch.
+/// the full and the sampled scans so both gather each distinct column
+/// exactly once per batch.
 pub(crate) struct AggInputs {
     pub(crate) input_cols: Vec<usize>,
     pub(crate) agg_input: Vec<Option<usize>>,
@@ -411,7 +411,7 @@ impl KeyCodec<'_> {
 /// Run the group phase of a query — batched filter, group-id assignment,
 /// columnar aggregation — producing the cacheable [`GroupedResult`].
 /// Group ids come from the hashed key codec; this is the oracle the
-/// direct and morsel-parallel scans are tested against.
+/// direct and sampled scans are tested against.
 pub fn group_aggregate(spec: &GroupSpec, table: &Table) -> Result<GroupedResult> {
     let mut gt = GroupTable::new(spec.group_cols.len());
     group_aggregate_with(spec, table, &mut gt)
@@ -452,6 +452,45 @@ pub fn group_aggregate_direct_with(
         slots: Vec::with_capacity(BATCH_ROWS),
     };
     scan_groups(spec, table, gt, codec).map(Some)
+}
+
+/// Counters from the group scans run so far: how many
+/// [`group_aggregate_auto`] sent down the direct codec. Cumulative, so an
+/// engine can expose them across many queries.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ParallelScanStats {
+    /// Scans that took the direct-indexed path.
+    pub direct_scans: u64,
+    /// Scans that ran in parallel. The group scan has no parallel path,
+    /// so this stays zero; it is kept for the readers that report it.
+    pub parallel_scans: u64,
+}
+
+impl ParallelScanStats {
+    /// Add another counter snapshot into this one.
+    pub fn merge(&mut self, other: ParallelScanStats) {
+        self.direct_scans += other.direct_scans;
+        self.parallel_scans += other.parallel_scans;
+    }
+}
+
+/// The dispatching group phase: the direct codec
+/// ([`group_aggregate_direct_with`]) when every group column has a dense
+/// code table and the key domain fits [`direct_slot_bound`], counted in
+/// [`ParallelScanStats::direct_scans`]; the hashed codec
+/// ([`group_aggregate_with`]) otherwise. The output is byte-identical
+/// either way; only the cost differs.
+pub fn group_aggregate_auto(
+    spec: &GroupSpec,
+    table: &Table,
+    gt: &mut GroupTable,
+    stats: &mut ParallelScanStats,
+) -> Result<GroupedResult> {
+    if let Some(grouped) = group_aggregate_direct_with(spec, table, gt)? {
+        stats.direct_scans += 1;
+        return Ok(grouped);
+    }
+    group_aggregate_with(spec, table, gt)
 }
 
 /// The one batch loop of the sequential group phase, with group ids from

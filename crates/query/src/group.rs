@@ -124,8 +124,9 @@ impl GroupTable {
     }
 
     /// The whole key arena in group-id order (`width` lanes per group) —
-    /// what the morsel-merge feeds back through [`GroupTable::assign`] to
-    /// remap a partition's local group ids onto the global table.
+    /// what the sampled scan's chunk merge feeds back through
+    /// [`GroupTable::assign`] to remap a chunk's local group ids onto the
+    /// global table.
     pub(crate) fn key_arena(&self) -> &[u64] {
         &self.keys
     }
@@ -480,9 +481,9 @@ impl GroupedResult {
 
     /// A structural fingerprint of the finished group phase: group order,
     /// every encoded key lane, and every aggregate's exact f64 bits (NaNs
-    /// and signed zeros included). The hashed, direct, morsel-parallel
-    /// and sampled scans are held to it against each other, and the
-    /// N-scaling bench asserts it before timing anything.
+    /// and signed zeros included). The hashed, direct and sampled scans
+    /// are held to it against each other, and the N-scaling bench
+    /// asserts it before timing anything.
     pub fn result_fingerprint(&self) -> u64 {
         let mut h = fold_hash(0, self.num_groups as u64);
         h = fold_hash(h, self.width as u64);

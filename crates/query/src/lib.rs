@@ -29,10 +29,9 @@
 //! [`exec::direct_slot_bound`]) a row's group is read from a slot map at
 //! `Σ code_j · stride_j` over per-column dense code tables
 //! ([`qagview_storage::Table::dense_codes`]); otherwise the key is encoded
-//! to `u64` lanes, hashed and probed. [`parallel::group_aggregate_auto`]
-//! picks the direct codec when it applies, then the morsel-parallel scan
-//! ([`parallel`]) for large tables on multicore hosts, then the hashed
-//! sequential scan. Every path is byte-identical to [`exec::group_aggregate`].
+//! to `u64` lanes, hashed and probed. [`exec::group_aggregate_auto`]
+//! picks the direct codec when it applies and the hashed one otherwise.
+//! Both are byte-identical to [`exec::group_aggregate`].
 //!
 //! # Examples
 //!
@@ -65,21 +64,16 @@ pub mod ast;
 pub mod exec;
 pub mod group;
 pub mod lexer;
-pub mod parallel;
 pub mod parser;
 pub mod plan;
 pub mod sample;
 
 pub use ast::{AggFunc, CmpOp, Literal, OrderDir, SelectStmt};
 pub use exec::{
-    direct_slot_bound, execute, execute_rows, group_aggregate, group_aggregate_direct_with,
-    group_aggregate_with, QueryOutput, QueryRow,
+    direct_slot_bound, execute, execute_rows, group_aggregate, group_aggregate_auto,
+    group_aggregate_direct_with, group_aggregate_with, ParallelScanStats, QueryOutput, QueryRow,
 };
 pub use group::{GroupTable, GroupedResult};
-pub use parallel::{
-    group_aggregate_auto, group_aggregate_parallel, group_aggregate_parallel_with, ParallelConfig,
-    ParallelScanStats,
-};
 pub use parser::parse;
 pub use plan::{bind, BoundQuery, GroupSpec, OutputSpec};
 pub use sample::{group_aggregate_sampled, sample_row_ids, SampleSpec, SampleStats, SampledResult};

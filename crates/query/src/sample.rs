@@ -20,11 +20,10 @@
 //!
 //! * the sampled id set is computed *before* the scan (no per-partition
 //!   RNG state), ascending by construction;
-//! * the scan mirrors the morsel discipline of [`crate::parallel`] — ids
-//!   split into `partitions` contiguous chunks, each chunk scanned with
-//!   its own local [`GroupTable`], outputs merged in ascending chunk
-//!   order so global group ids reproduce the `P = 1` first-encounter
-//!   order exactly;
+//! * the scan splits the ids into `partitions` contiguous chunks, each
+//!   scanned with its own local [`GroupTable`], and merges the outputs
+//!   in ascending chunk order, so global group ids reproduce the `P = 1`
+//!   first-encounter order exactly;
 //! * reservoir membership is the `R` smallest `(priority(row), row)`
 //!   pairs of each group — a total order over the whole sample, so the
 //!   retained set cannot depend on chunk boundaries — and every estimate
@@ -160,9 +159,9 @@ fn priority(seed: u64, row: u32) -> u64 {
     finish_hash(fold_hash(seed ^ 0x2545_f491_4f6c_dd1d, u64::from(row) + 1))
 }
 
-/// What one chunk's scan produced — the sampled twin of the morsel
-/// output: local group keys plus, per selected row in ascending row
-/// order, the local gid, the row id, and each gathered aggregate input.
+/// What one chunk's scan produced: local group keys plus, per selected
+/// row in ascending row order, the local gid, the row id, and each
+/// gathered aggregate input.
 struct ChunkOutput {
     num_local_groups: usize,
     local_keys: Vec<u64>,

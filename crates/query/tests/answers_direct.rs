@@ -1,16 +1,17 @@
 //! The answer relation a finished group phase derives must be
 //! byte-identical to the row-at-a-time engine's rows fed through
 //! `AnswerSetBuilder` — for every scan that produces a group phase
-//! (direct, hashed, morsel-parallel, and a sample of every row), through
+//! (direct, hashed, the dispatching scan, and a sample of every row), through
 //! both `GroupedResult::apply_answers` and `GroupedResult::apply`, and for
 //! a cached group phase re-applied at many thresholds.
 
 use proptest::prelude::*;
+use qagview_datagen::movielens::{self, MovieLensConfig};
 use qagview_lattice::{AnswerSet, AnswerSetBuilder};
 use qagview_query::{
-    bind, execute_rows, group_aggregate, group_aggregate_direct_with, group_aggregate_parallel,
-    group_aggregate_sampled, parse, BoundQuery, GroupTable, GroupedResult, ParallelConfig,
-    QueryOutput, SampleSpec,
+    bind, direct_slot_bound, execute_rows, group_aggregate, group_aggregate_auto,
+    group_aggregate_direct_with, group_aggregate_sampled, parse, BoundQuery, GroupTable,
+    GroupedResult, ParallelScanStats, QueryOutput, SampleSpec,
 };
 use qagview_storage::{Cell, ColumnType, Schema, Table, TableBuilder};
 
@@ -240,7 +241,7 @@ fn build_table(rows: &[Row]) -> Table {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Direct, hashed, morsel-parallel and full-sample group phases all
+    /// Direct, hashed, dispatched and full-sample group phases all
     /// derive the row engine's relation, over every subset of the key
     /// columns (including none), every aggregate, `ORDER BY` in either
     /// direction or none, `LIMIT` from 0 to past the end, and `HAVING`
@@ -287,9 +288,11 @@ proptest! {
             .unwrap_or_else(|| panic!("direct codec declined {sql}"));
         assert_phase_matches(&direct, &bound, &table, &format!("direct: {sql}"));
 
-        let cfg = ParallelConfig::with_partitions(table.num_rows(), 3);
-        let morsel = group_aggregate_parallel(&bound.group, &table, &cfg).unwrap();
-        assert_phase_matches(&morsel, &bound, &table, &format!("morsel: {sql}"));
+        // The dispatch takes the direct codec on these narrow domains.
+        let mut stats = ParallelScanStats::default();
+        let auto = group_aggregate_auto(&bound.group, &table, &mut gt, &mut stats).unwrap();
+        assert_eq!(stats.direct_scans, 1, "{sql}");
+        assert_phase_matches(&auto, &bound, &table, &format!("auto: {sql}"));
 
         // A sample of every row with room for every row of a group
         // estimates AVG, COUNT, MIN and MAX exactly (SUM is mean · count).
@@ -385,4 +388,62 @@ fn a_cached_group_phase_reapplied_at_many_thresholds_matches_fresh_phases() {
             }
         }
     }
+}
+
+/// `group_aggregate_auto` on a 262,144-row table: the paper's categorical
+/// group-bys take the direct codec, and a key domain past
+/// [`direct_slot_bound`] takes the hashed one, bit-identical to
+/// `group_aggregate` either way.
+#[test]
+fn auto_dispatch_pins_the_path_per_key_domain() {
+    let table = movielens::generate(&MovieLensConfig {
+        ratings: 1 << 18,
+        ..MovieLensConfig::default()
+    })
+    .unwrap();
+    let run = |sql: &str| {
+        let bound = bind(&parse(sql).unwrap(), &table).unwrap();
+        let mut gt = GroupTable::new(0);
+        let mut stats = ParallelScanStats::default();
+        let auto = group_aggregate_auto(&bound.group, &table, &mut gt, &mut stats).unwrap();
+        let oracle = group_aggregate(&bound.group, &table).unwrap();
+        assert_eq!(
+            auto.result_fingerprint(),
+            oracle.result_fingerprint(),
+            "{sql}"
+        );
+        stats
+    };
+    for g in [
+        "hdec, agegrp, gender",
+        "hdec, agegrp, gender, occupation",
+        "hdec, agegrp, gender, occupation, region, decade",
+    ] {
+        let stats = run(&format!(
+            "SELECT {g}, AVG(rating) AS val FROM ratingtable GROUP BY {g} \
+             HAVING count(*) > 10 ORDER BY val DESC"
+        ));
+        assert_eq!((stats.direct_scans, stats.parallel_scans), (1, 0), "{g}");
+    }
+    // User × movie × age spans more slots than the bound: hashed.
+    let slots: usize = ["user_id", "movie_id", "age"]
+        .iter()
+        .map(|c| {
+            let col = table.schema().index_of(c).unwrap();
+            table.dense_codes(col).unwrap().card() as usize
+        })
+        .product();
+    assert!(slots > direct_slot_bound(table.num_rows()), "{slots} slots");
+    let stats = run(
+        "SELECT user_id, movie_id, age, AVG(rating) AS val FROM ratingtable \
+         GROUP BY user_id, movie_id, age",
+    );
+    assert_eq!((stats.direct_scans, stats.parallel_scans), (0, 0));
+    // merge sums both counters.
+    let mut total = stats;
+    total.merge(ParallelScanStats {
+        direct_scans: 2,
+        parallel_scans: 1,
+    });
+    assert_eq!((total.direct_scans, total.parallel_scans), (2, 1));
 }

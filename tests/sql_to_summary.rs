@@ -6,6 +6,7 @@ use qagview::prelude::*;
 // reference SQL semantics the engine's cached paths are diffed against.
 use qagview::answers_from_query;
 use qagview::query::run_query;
+use std::sync::Arc;
 
 fn catalog() -> Catalog {
     let schema = Schema::from_pairs(&[
@@ -105,14 +106,30 @@ fn limit_truncates_the_relation_but_not_its_order() {
     }
 }
 
+/// The engine's answer relation for `sql` and the row-engine oracle's,
+/// asserted equal down to the score bits.
+fn warm_and_cold(explorer: &Explorer, sql: &str) -> (Arc<AnswerSet>, AnswerSet) {
+    let warm = explorer.answer_relation(sql).unwrap();
+    let cold = answers_from_query(&run_query(explorer.catalog(), sql).unwrap()).unwrap();
+    assert_eq!(*warm, cold, "{sql}");
+    assert_eq!(warm.fingerprint(), cold.fingerprint(), "{sql}");
+    assert!(
+        warm.vals()
+            .iter()
+            .zip(cold.vals())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "score bits: {sql}"
+    );
+    (warm, cold)
+}
+
 #[test]
 fn session_threshold_slider_feeds_summarization_from_the_cached_group_phase() {
     // The §6 interactive loop: the user drags the HAVING threshold and
-    // re-summarizes. Inside a QuerySession only the first run scans the
-    // table; every slider position must nevertheless produce an answer
+    // re-summarizes. The engine scans the table only for the first
+    // position; every slider position must nevertheless produce an answer
     // relation — and a summary — identical to a cold re-execution.
-    let c = catalog();
-    let mut session = QuerySession::new(&c);
+    let explorer = Explorer::new(catalog());
     let sql_at = |threshold: usize| {
         format!(
             "SELECT genre, gender, occupation, AVG(rating) AS val FROM ratings \
@@ -121,32 +138,65 @@ fn session_threshold_slider_feeds_summarization_from_the_cached_group_phase() {
         )
     };
     for threshold in [0, 1, 0, 1] {
-        let sql = sql_at(threshold);
-        let warm = session.run(&sql).unwrap();
-        let cold = run_query(&c, &sql).unwrap();
-        assert_eq!(warm, cold, "threshold {threshold}");
-        if warm.rows.len() < 2 {
+        let (warm, cold) = warm_and_cold(&explorer, &sql_at(threshold));
+        if warm.len() < 2 {
             continue;
         }
-        let warm_answers = answers_from_query(&warm).unwrap();
-        let cold_answers = answers_from_query(&cold).unwrap();
-        let l = warm_answers.len().min(4);
-        let sol_warm = Summarizer::new(&warm_answers, l)
-            .unwrap()
-            .hybrid(2, 0)
-            .unwrap();
-        let sol_cold = Summarizer::new(&cold_answers, l)
-            .unwrap()
-            .hybrid(2, 0)
-            .unwrap();
+        let l = warm.len().min(4);
+        let sol_warm = Summarizer::new(&*warm, l).unwrap().hybrid(2, 0).unwrap();
+        let sol_cold = Summarizer::new(&cold, l).unwrap().hybrid(2, 0).unwrap();
         assert_eq!(sol_warm.patterns(), sol_cold.patterns());
     }
+    let groups = explorer.stats().group_phase;
     assert_eq!(
-        session.cache_misses(),
-        1,
+        groups.misses, 1,
         "only the first slider position may scan the table"
     );
-    assert_eq!(session.cache_hits(), 3);
+    assert_eq!(groups.hits, 3);
+}
+
+#[test]
+fn changed_scan_shape_misses_the_cache() {
+    let explorer = Explorer::new(catalog());
+    let filtered = |threshold: usize| {
+        format!(
+            "SELECT genre, gender, AVG(rating) AS val FROM ratings WHERE adventure = 1 \
+             GROUP BY genre, gender HAVING count(*) > {threshold} ORDER BY val DESC"
+        )
+    };
+    let unfiltered = |threshold: usize| {
+        format!(
+            "SELECT genre, gender, AVG(rating) AS val FROM ratings \
+             GROUP BY genre, gender HAVING count(*) > {threshold} ORDER BY val DESC"
+        )
+    };
+    warm_and_cold(&explorer, &filtered(0));
+    // A different WHERE clause is a different group phase.
+    warm_and_cold(&explorer, &unfiltered(0));
+    assert_eq!(explorer.stats().group_phase.misses, 2);
+    // And both phases stay cached independently.
+    warm_and_cold(&explorer, &filtered(1));
+    warm_and_cold(&explorer, &unfiltered(1));
+    let groups = explorer.stats().group_phase;
+    assert_eq!((groups.hits, groups.misses, groups.entries), (2, 2, 2));
+}
+
+#[test]
+fn limit_and_unordered_variants_hit_the_cache() {
+    let explorer = Explorer::new(catalog());
+    let base = "SELECT genre, AVG(rating) AS val FROM ratings GROUP BY genre";
+    warm_and_cold(&explorer, base);
+    for sql in [
+        format!("{base} ORDER BY val DESC LIMIT 1"),
+        format!("{base} ORDER BY val ASC"),
+        format!("{base} HAVING avg(rating) > 0 LIMIT 2"),
+    ] {
+        warm_and_cold(&explorer, &sql);
+    }
+    // HAVING avg(rating) reuses the projected AVG aggregate, so all three
+    // variants share the base group phase.
+    let groups = explorer.stats().group_phase;
+    assert_eq!((groups.hits, groups.misses), (3, 1));
 }
 
 #[test]
