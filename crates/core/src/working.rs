@@ -27,13 +27,6 @@ pub enum EvalMode {
     /// the last round's coverage diff (30× reported speed-up).
     #[default]
     Delta,
-    /// The mode of the progressive pipeline's *approximate* plane builds:
-    /// every marginal is a fresh fused scan
-    /// ([`WorkingSet::marginal_fused`]), with no Delta-Judgment cache.
-    /// Byte-identity paths (exact plane builds, stored solutions,
-    /// refinement) keep using [`EvalMode::Delta`]. Kept as its own mode
-    /// because stored planes record it (store tag 2).
-    Relaxed,
 }
 
 /// A pending merge considered by a greedy step.
@@ -86,7 +79,6 @@ impl Evaluator {
         match self.mode {
             EvalMode::Naive => w.marginal_naive(id),
             EvalMode::Delta => self.cache.marginal(w, id),
-            EvalMode::Relaxed => w.marginal_fused(id),
         }
     }
 
@@ -807,26 +799,5 @@ mod tests {
         assert!(sol.clusters[0].avg() >= sol.clusters[1].avg());
         assert!(sol.clusters[1].avg() >= sol.clusters[2].avg());
         assert_eq!(sol.covered, 3);
-    }
-
-    /// The approximate-plane evaluator mode runs the strict fused kernel,
-    /// so every marginal matches the naive oracle bit-for-bit.
-    #[test]
-    fn relaxed_eval_mode_tracks_naive_within_tolerance() {
-        let s = answers();
-        let idx = CandidateIndex::build(&s, s.len()).unwrap();
-        let w = WorkingSet::with_top_l_singletons(&s, &idx).unwrap();
-        let mut relaxed = Evaluator::new(EvalMode::Relaxed);
-        for (id, _) in idx.iter() {
-            let (nsum, ncnt) = w.marginal_naive(id);
-            let (rsum, rcnt) = relaxed.marginal(&w, id);
-            assert_eq!(ncnt, rcnt, "candidate {id}: count");
-            assert_eq!(
-                rsum.to_bits(),
-                nsum.to_bits(),
-                "candidate {id}: relaxed-mode {rsum} vs naive {nsum}"
-            );
-        }
-        assert!(relaxed.eval_calls() > 0);
     }
 }

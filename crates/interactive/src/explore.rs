@@ -32,12 +32,12 @@
 //! summaries and plots (property-tested), so cache hits are purely a cost
 //! story.
 
-use crate::cache::{LayerStats, LruCache};
+use crate::cache::{Layer, LayerStats};
 use crate::plot::{DSeries, GuidancePlot};
 use crate::precompute::{PrecomputeConfig, Precomputed};
 use qagview_common::io::{RealIo, RetryPolicy, StoreIo};
 use qagview_common::{QagError, Result, StoreErrorKind};
-use qagview_core::{EvalMode, Solution, SolutionCluster, Summarizer, DEFAULT_POOL_FACTOR};
+use qagview_core::{Solution, SolutionCluster, Summarizer, DEFAULT_POOL_FACTOR};
 use qagview_lattice::{AnswerSet, AnswerSetBuilder, Pattern, TupleId, STAR};
 use qagview_query::{
     bind, group_aggregate_auto, group_aggregate_sampled, parse, BoundQuery, GroupTable,
@@ -555,6 +555,15 @@ struct AnswerEntry {
     fp: u64,
 }
 
+impl AnswerEntry {
+    fn new(answers: AnswerSet, fp: u64) -> Arc<Self> {
+        Arc::new(AnswerEntry {
+            answers: Arc::new(answers),
+            fp,
+        })
+    }
+}
+
 /// What the first two cache layers hand the rest of the pipeline.
 struct RelationOutcome {
     entry: Arc<AnswerEntry>,
@@ -573,22 +582,22 @@ struct GroupPhase {
     sample: Option<SampleStats>,
 }
 
-/// The group-phase layer: its cache plus the reusable scan scratch table,
-/// which lives under the same lock because only group scans use it.
-/// Exact phases are keyed `(TableId, group_fp)`; sampled phases fold the
-/// [`SampleSpec`] fingerprint into the key, so both coexist.
-struct GroupLayer {
-    cache: LruCache<(TableId, u64), Arc<GroupPhase>>,
+/// The group scan's reusable scratch table and its path counters. It sits
+/// beside the group-phase layer, behind its own mutex, because only
+/// group-phase builds use it; the scratch is borrowed out while a scan
+/// runs unlocked, and a concurrent miss simply scans with a fresh one.
+#[derive(Debug, Default)]
+struct GroupScan {
     scratch: GroupTable,
     /// Cumulative group-scan path counters across every cache-miss scan.
-    scan_stats: ParallelScanStats,
+    stats: ParallelScanStats,
 }
 
 /// The owned, thread-shareable exploration engine.
 ///
 /// `Explorer` is `Send + Sync`: wrap it in an `Arc`, hand clones to any
 /// number of threads, and open an [`ExploreSession`] per analyst. All
-/// sessions share the three cache layers, so the second analyst asking
+/// sessions share the cache layers, so the second analyst asking
 /// the paper's Example 1.1 query pays `O(groups)` instead of a scan.
 ///
 /// ```
@@ -624,80 +633,20 @@ struct GroupLayer {
 /// two layer locks at once (so the split cannot deadlock). Two sessions
 /// racing on the same missing key may both compute it; the artifacts are
 /// deterministic, so the duplicate work is wasted cost only, and the last
-/// insert wins.
+/// insert wins. A panic while a layer lock is held costs that layer its
+/// contents, never a propagated panic: the layer's next lock clears it,
+/// counts the recovery in [`PoisonStats`], and the command reports
+/// [`Degradation::PoisonRecovered`].
 pub struct Explorer {
     catalog: Arc<Catalog>,
     cfg: ExplorerConfig,
-    groups: Mutex<GroupLayer>,
-    answers: Mutex<LruCache<(TableId, u64), Arc<AnswerEntry>>>,
-    planes: Mutex<LruCache<(u64, usize, usize), Arc<Precomputed<'static>>>>,
-    summarizers: Mutex<LruCache<(u64, usize), Arc<Summarizer<'static>>>>,
+    groups: Layer<(TableId, u64), Arc<GroupPhase>>,
+    group_scan: Mutex<GroupScan>,
+    answers: Layer<(TableId, u64), Arc<AnswerEntry>>,
+    planes: Layer<(u64, usize, usize), Arc<Precomputed<'static>>>,
+    summarizers: Layer<(u64, usize), Arc<Summarizer<'static>>>,
     store_stats: Mutex<StoreLayerStats>,
-    poison: PoisonCounters,
-}
-
-/// Lock-free poison-recovery counters (atomics, so counting a recovery
-/// can never itself poison anything).
-#[derive(Debug, Default)]
-struct PoisonCounters {
-    group_phase: AtomicU64,
-    answers: AtomicU64,
-    planes: AtomicU64,
-    summarizers: AtomicU64,
-    store: AtomicU64,
-}
-
-impl PoisonCounters {
-    fn snapshot(&self) -> PoisonStats {
-        PoisonStats {
-            group_phase: self.group_phase.load(Ordering::Relaxed),
-            answers: self.answers.load(Ordering::Relaxed),
-            planes: self.planes.load(Ordering::Relaxed),
-            summarizers: self.summarizers.load(Ordering::Relaxed),
-            store: self.store.load(Ordering::Relaxed),
-        }
-    }
-
-    fn counter(&self, layer: CacheLayer) -> &AtomicU64 {
-        match layer {
-            CacheLayer::GroupPhase => &self.group_phase,
-            CacheLayer::Answers => &self.answers,
-            CacheLayer::Planes => &self.planes,
-            CacheLayer::Summarizers => &self.summarizers,
-            CacheLayer::Store => &self.store,
-        }
-    }
-}
-
-/// What a layer does to its contents when its mutex is recovered from
-/// poisoning: drop anything that could be mid-mutation, keep what is
-/// plain data. The caches rebuild cold; nothing served afterwards can
-/// observe a half-updated structure.
-trait PoisonReset {
-    fn reset_after_poison(&mut self);
-}
-
-impl<K: Eq + std::hash::Hash + Clone, V> PoisonReset for LruCache<K, V> {
-    fn reset_after_poison(&mut self) {
-        self.clear();
-    }
-}
-
-impl PoisonReset for GroupLayer {
-    fn reset_after_poison(&mut self) {
-        self.cache.clear();
-        self.scratch = GroupTable::new(0);
-        // `scan_stats` counters are plain `u64`s; keep the history, like
-        // the store-layer counters.
-    }
-}
-
-impl PoisonReset for StoreLayerStats {
-    fn reset_after_poison(&mut self) {
-        // Counters are plain `u64`s; the worst a panic mid-increment
-        // leaves behind is an off-by-one count, which is not worth
-        // zeroing the whole history over.
-    }
+    store_poisoned: AtomicU64,
 }
 
 impl std::fmt::Debug for Explorer {
@@ -743,19 +692,16 @@ impl Explorer {
             .unwrap_or(0) as u64;
         Explorer {
             catalog,
-            groups: Mutex::new(GroupLayer {
-                cache: LruCache::new(cfg.group_cache_entries),
-                scratch: GroupTable::new(0),
-                scan_stats: ParallelScanStats::default(),
-            }),
-            answers: Mutex::new(LruCache::new(cfg.answers_cache_entries)),
-            planes: Mutex::new(LruCache::new(cfg.plane_cache_entries)),
-            summarizers: Mutex::new(LruCache::new(cfg.summarizer_cache_entries)),
+            groups: Layer::new(CacheLayer::GroupPhase, cfg.group_cache_entries),
+            group_scan: Mutex::default(),
+            answers: Layer::new(CacheLayer::Answers, cfg.answers_cache_entries),
+            planes: Layer::new(CacheLayer::Planes, cfg.plane_cache_entries),
+            summarizers: Layer::new(CacheLayer::Summarizers, cfg.summarizer_cache_entries),
             store_stats: Mutex::new(StoreLayerStats {
                 temp_cleanups,
                 ..Default::default()
             }),
-            poison: PoisonCounters::default(),
+            store_poisoned: AtomicU64::new(0),
             cfg,
         }
     }
@@ -770,46 +716,59 @@ impl Explorer {
         &self.cfg
     }
 
-    /// Lock a layer, *recovering* from poisoning instead of propagating
-    /// it: a panic in one session while it held a layer lock must not
-    /// take the layer away from every future session. Recovery clears
-    /// the layer's cached contents ([`PoisonReset`]) — the caches are
-    /// pure cost, so the worst case is cold rebuilds — and counts the
-    /// event in [`PoisonStats`].
-    fn lock<'a, T: PoisonReset>(
-        &self,
-        layer: &'a Mutex<T>,
-        which: CacheLayer,
-    ) -> std::sync::MutexGuard<'a, T> {
-        match layer.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                layer.clear_poison();
-                let mut guard = poisoned.into_inner();
-                guard.reset_after_poison();
-                self.poison.counter(which).fetch_add(1, Ordering::Relaxed);
-                guard
-            }
-        }
+    /// The store tier's counter block. A poisoned lock keeps the
+    /// counters: they are plain `u64`s, and the worst a panic
+    /// mid-increment leaves behind is an off-by-one count.
+    fn store_stats(&self) -> std::sync::MutexGuard<'_, StoreLayerStats> {
+        crate::cache::lock_recovering(&self.store_stats, &self.store_poisoned, |_| {})
+    }
+
+    /// Each layer's poison-recovery count.
+    fn poison_counts(&self) -> [(CacheLayer, u64); 5] {
+        [
+            self.groups.poison_recoveries(),
+            self.answers.poison_recoveries(),
+            self.planes.poison_recoveries(),
+            self.summarizers.poison_recoveries(),
+            (
+                CacheLayer::Store,
+                self.store_poisoned.load(Ordering::Relaxed),
+            ),
+        ]
+    }
+
+    /// The group scan's scratch and counters. Only swaps and counter
+    /// merges run under this lock (the scan itself runs on a borrowed-out
+    /// scratch, which every scan clears first), so a poisoned lock holds
+    /// nothing half-updated and is simply taken over.
+    fn group_scan(&self) -> std::sync::MutexGuard<'_, GroupScan> {
+        self.group_scan
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     /// Snapshot the cumulative cache counters of every layer. Each layer
     /// lock is taken (and released) in turn — never nested.
     pub fn stats(&self) -> ExplorerStats {
-        let (group_phase, scan) = {
-            let layer = self.lock(&self.groups, CacheLayer::GroupPhase);
-            (layer.cache.stats(), layer.scan_stats)
-        };
         ExplorerStats {
-            group_phase,
-            scan,
-            answers: self.lock(&self.answers, CacheLayer::Answers).stats(),
-            planes: self.lock(&self.planes, CacheLayer::Planes).stats(),
-            summarizers: self
-                .lock(&self.summarizers, CacheLayer::Summarizers)
-                .stats(),
-            store: *self.lock(&self.store_stats, CacheLayer::Store),
-            poison: self.poison.snapshot(),
+            group_phase: self.groups.stats(),
+            scan: self.group_scan().stats,
+            answers: self.answers.stats(),
+            planes: self.planes.stats(),
+            summarizers: self.summarizers.stats(),
+            store: *self.store_stats(),
+            // Read last, so recoveries made by the locks above count.
+            poison: {
+                let [group_phase, answers, planes, summarizers, store] =
+                    self.poison_counts().map(|(_, n)| n);
+                PoisonStats {
+                    group_phase,
+                    answers,
+                    planes,
+                    summarizers,
+                    store,
+                }
+            },
         }
     }
 
@@ -836,7 +795,7 @@ impl Explorer {
         for attempt in 0..attempts {
             if attempt > 0 {
                 io.sleep(policy.backoff(attempt - 1));
-                self.lock(&self.store_stats, CacheLayer::Store).retries += 1;
+                self.store_stats().retries += 1;
             }
             read = io
                 .read(path)
@@ -853,7 +812,7 @@ impl Explorer {
             break;
         }
         let loaded = read.and_then(decode);
-        let mut st = self.lock(&self.store_stats, CacheLayer::Store);
+        let mut st = self.store_stats();
         match loaded {
             Ok(v) => {
                 st.kind_mut(kind).loads += 1;
@@ -892,7 +851,7 @@ impl Explorer {
     ) {
         let io = self.cfg.store_io.as_ref();
         let written = crate::store::write_with_retry(io, path, image, &self.cfg.retry);
-        let mut st = self.lock(&self.store_stats, CacheLayer::Store);
+        let mut st = self.store_stats();
         match written {
             Ok(attempts) => {
                 st.kind_mut(kind).writes += 1;
@@ -915,7 +874,7 @@ impl Explorer {
             (self.cfg.store_budget_bytes, self.cfg.store_dir.as_ref())
         {
             if let Ok(report) = crate::store::gc(io, dir, gc_budget) {
-                let mut st = self.lock(&self.store_stats, CacheLayer::Store);
+                let mut st = self.store_stats();
                 st.gc_evictions += report.evicted as u64;
                 st.gc_bytes_freed += report.bytes_freed;
             }
@@ -971,15 +930,6 @@ impl Explorer {
         ((m + 1) * per_plane + pool + 4096) as u64
     }
 
-    /// Compute the full view for one exploration state — the stateless
-    /// engine entry point that [`ExploreSession::apply`] (and any future
-    /// network facade) routes through. Deterministic in `state`: cache
-    /// hits change only the [`CacheProvenance`], never the view.
-    pub fn view(&self, state: &ExploreState) -> Result<(SummaryView, GuidancePlot)> {
-        let (view, _) = self.view_internal(state, self.cfg.session_budget_bytes)?;
-        Ok((view.summary, view.plot))
-    }
-
     /// The exact dense-coded answer relation `S` of `sql` — layers 1–2
     /// only, no plane build. This is the documented entry point for
     /// callers that want the relation itself (baseline comparisons,
@@ -1028,143 +978,94 @@ impl Explorer {
         let gkey = (table.id, phase_fp);
         let akey = (table.id, combine(phase_fp, output_fp));
 
+        // Layer 1: the finished group phase — the only stage that ever
+        // touches the base table. The sampled phase brings its own (small)
+        // group table and touches only the drawn rows; the exact scan
+        // borrows the shared scratch table.
+        let group_phase = || {
+            self.groups.get_or_build(gkey, || {
+                if approx {
+                    let sampled =
+                        group_aggregate_sampled(&bound.group, &table.table, &self.cfg.sample, 1)?;
+                    return Ok(Arc::new(GroupPhase {
+                        result: sampled.result,
+                        sample: Some(sampled.stats),
+                    }));
+                }
+                let mut scratch = std::mem::take(&mut self.group_scan().scratch);
+                let mut scan = ParallelScanStats::default();
+                let result =
+                    group_aggregate_auto(&bound.group, &table.table, &mut scratch, &mut scan);
+                let mut shared = self.group_scan();
+                shared.scratch = scratch;
+                shared.stats.merge(scan);
+                Ok(Arc::new(GroupPhase {
+                    result: result?,
+                    sample: None,
+                }))
+            })
+        };
+        // Layer 2: the dense-coded answer relation, derived O(groups) from
+        // the group phase via the direct (no string round-trip) path.
+        let derive = |grouped: &GroupPhase| -> Result<Arc<AnswerEntry>> {
+            let answers = grouped.result.apply_answers(&bound.output)?;
+            let fp = answers.fingerprint();
+            Ok(AnswerEntry::new(answers, fp))
+        };
+
         // The relation tier. A resident group phase derives the relation
         // in O(groups), cheaper than any file read, so the tier is only
         // consulted when the scan would otherwise have to run — and then
-        // layer 2's memory probe goes first. Without the tier the layers
-        // keep their plain 1-then-2 order.
+        // layer 2's memory probe goes first, the file second, the scan
+        // last. Without the tier the layers keep their plain 1-then-2
+        // order.
         let tier = match &self.cfg.store_dir {
-            Some(dir) if !approx => {
+            Some(dir) if !approx && !self.groups.contains(&gkey) => {
                 let key = combine(table.fingerprint, combine(group_fp, output_fp));
                 Some((dir.join(crate::store::relation_file_name(key)), key))
             }
             _ => None,
         };
+        let Some((path, key)) = tier else {
+            let (grouped, group_out) = group_phase()?;
+            let (entry, answers_out) = self.answers.get_or_build(akey, || derive(&grouped))?;
+            return Ok(RelationOutcome {
+                entry,
+                group_out,
+                answers_out,
+                answers_store: None,
+                sample: grouped.sample,
+            });
+        };
+        let mut group_out = CacheOutcome::Skipped;
         let mut answers_store = None;
-        if let Some((path, key)) = &tier {
-            let resident = self
-                .lock(&self.groups, CacheLayer::GroupPhase)
-                .cache
-                .contains_key(&gkey);
-            if !resident {
-                let probe = self
-                    .lock(&self.answers, CacheLayer::Answers)
-                    .get_cloned(&akey);
-                let served = match probe {
-                    Some(entry) => Some((entry, CacheOutcome::Hit, None)),
-                    None => self
-                        .store_load(StoreFileKind::Answers, path, degradations, |bytes| {
-                            crate::store::relation_from_bytes(&bytes, *key)
-                        })
-                        .map(|(answers, fp)| {
-                            let entry = self.publish_answers(akey, answers, fp);
-                            (entry, CacheOutcome::Miss, Some(CacheOutcome::Hit))
-                        }),
-                };
-                if let Some((entry, answers_out, answers_store)) = served {
-                    return Ok(RelationOutcome {
-                        entry,
-                        group_out: CacheOutcome::Skipped,
-                        answers_out,
-                        answers_store,
-                        sample: None,
-                    });
-                }
-                answers_store = Some(CacheOutcome::Miss);
+        let (entry, answers_out) = self.answers.get_or_build(akey, || {
+            let loaded = self.store_load(StoreFileKind::Answers, &path, degradations, |bytes| {
+                crate::store::relation_from_bytes(&bytes, key)
+            });
+            if let Some((answers, fp)) = loaded {
+                answers_store = Some(CacheOutcome::Hit);
+                return Ok(AnswerEntry::new(answers, fp));
             }
-        }
-
-        // Layer 1: the finished group phase — the only stage that ever
-        // touches the base table. The scratch group table is borrowed out
-        // of the engine while the scan runs unlocked; a concurrent miss
-        // simply scans with a fresh scratch.
-        // Each probe is bound to its own statement so the layer guard in
-        // the scrutinee drops before the miss arm re-locks to insert.
-        let probe = self
-            .lock(&self.groups, CacheLayer::GroupPhase)
-            .cache
-            .get_cloned(&gkey);
-        let (grouped, group_out) = match probe {
-            Some(g) => (g, CacheOutcome::Hit),
-            None if approx => {
-                // The sampled phase brings its own (small) group table and
-                // touches only the drawn rows — no scratch borrowing.
-                let sampled =
-                    group_aggregate_sampled(&bound.group, &table.table, &self.cfg.sample, 1)?;
-                let g = Arc::new(GroupPhase {
-                    result: sampled.result,
-                    sample: Some(sampled.stats),
-                });
-                self.lock(&self.groups, CacheLayer::GroupPhase)
-                    .cache
-                    .insert(gkey, Arc::clone(&g));
-                (g, CacheOutcome::Miss)
-            }
-            None => {
-                let mut scratch =
-                    std::mem::take(&mut self.lock(&self.groups, CacheLayer::GroupPhase).scratch);
-                let mut scan = ParallelScanStats::default();
-                let result =
-                    group_aggregate_auto(&bound.group, &table.table, &mut scratch, &mut scan);
-                let mut layer = self.lock(&self.groups, CacheLayer::GroupPhase);
-                layer.scratch = scratch;
-                layer.scan_stats.merge(scan);
-                let g = Arc::new(GroupPhase {
-                    result: result?,
-                    sample: None,
-                });
-                layer.cache.insert(gkey, Arc::clone(&g));
-                (g, CacheOutcome::Miss)
-            }
-        };
-
-        // Layer 2: the dense-coded answer relation, derived O(groups) from
-        // the group phase via the direct (no string round-trip) path. Its
-        // memory probe already ran (and missed) if the relation tier was
-        // consulted.
-        let probe = match answers_store {
-            Some(_) => None,
-            None => self
-                .lock(&self.answers, CacheLayer::Answers)
-                .get_cloned(&akey),
-        };
-        let (entry, answers_out) = match probe {
-            Some(e) => (e, CacheOutcome::Hit),
-            None => {
-                let answers = grouped.result.apply_answers(&bound.output)?;
-                let fp = answers.fingerprint();
-                (self.publish_answers(akey, answers, fp), CacheOutcome::Miss)
-            }
-        };
-        // Published first, written back second: a racing session finds the
-        // relation in memory without waiting on the disk.
-        if let (Some(_), Some((path, key))) = (answers_store, &tier) {
-            let image = crate::store::relation_to_bytes(*key, &entry.answers);
-            self.store_write_back(StoreFileKind::Answers, path, &image, degradations);
+            answers_store = Some(CacheOutcome::Miss);
+            let (grouped, out) = group_phase()?;
+            group_out = out;
+            derive(&grouped)
+        })?;
+        // Published first (by `get_or_build`), written back second: a
+        // racing session finds the relation in memory without waiting on
+        // the disk.
+        if answers_store == Some(CacheOutcome::Miss) {
+            let image = crate::store::relation_to_bytes(key, &entry.answers);
+            self.store_write_back(StoreFileKind::Answers, &path, &image, degradations);
         }
         Ok(RelationOutcome {
             entry,
             group_out,
             answers_out,
             answers_store,
-            sample: grouped.sample,
+            sample: None,
         })
-    }
-
-    /// Insert a freshly derived or loaded relation into layer 2.
-    fn publish_answers(
-        &self,
-        akey: (TableId, u64),
-        answers: AnswerSet,
-        fp: u64,
-    ) -> Arc<AnswerEntry> {
-        let e = Arc::new(AnswerEntry {
-            answers: Arc::new(answers),
-            fp,
-        });
-        self.lock(&self.answers, CacheLayer::Answers)
-            .insert(akey, Arc::clone(&e));
-        e
     }
 
     fn view_internal(
@@ -1179,7 +1080,7 @@ impl Explorer {
             return Err(QagError::param("coverage knob L must be at least 1"));
         }
         let mut degradations: Vec<Degradation> = Vec::new();
-        let poison_before = self.poison.snapshot();
+        let poison_before = self.poison_counts();
         let stmt = parse(&state.sql)?;
         let table = self.catalog.require_registered(&stmt.from)?;
         let mut bound = bind(&stmt, &table.table)?;
@@ -1196,14 +1097,13 @@ impl Explorer {
 
         // Layers 1–2: the finished group phase and the dense-coded answer
         // relation (shared with [`Explorer::answer_relation`]).
-        let ro = self.relation_layers(&table, &bound, state.fidelity, &mut degradations)?;
         let RelationOutcome {
             entry,
             group_out,
             answers_out,
             answers_store,
             sample,
-        } = ro;
+        } = self.relation_layers(&table, &bound, state.fidelity, &mut degradations)?;
         let base = Arc::clone(&entry.answers);
         let base_fp = entry.fp;
         let approx = sample.is_some();
@@ -1251,97 +1151,70 @@ impl Explorer {
         let full_bytes = rel_bytes.saturating_add(plane_est);
         let shed_plane = budget.is_some_and(|b| full_bytes > b);
 
-        // Approximate planes carry another evaluator tag
-        // (`EvalMode::Relaxed`) and approximate fidelity, so they must
-        // never alias an exact plane — even when the sampled relation
-        // happens to be content-identical to the exact one (small tables,
-        // roomy sample budget).
+        // Approximate planes carry approximate fidelity, so they must never
+        // alias an exact plane — even when the sampled relation happens to
+        // be content-identical to the exact one (small tables, roomy
+        // sample budget).
         let plane_fp = if approx {
             combine(base_fp, self.cfg.sample.fingerprint())
         } else {
             base_fp
         };
-        let pkey = (plane_fp, l_eff, k_max);
-        let (plane, plane_out, store_out) = if shed_plane {
+        let mut store_out = None;
+        let mut write_back = None;
+        let (plane, plane_out) = if shed_plane {
             degradations.push(Degradation::PlaneShed {
                 needed: full_bytes,
                 budget: budget.expect("shed implies a budget"),
             });
-            (None, CacheOutcome::Miss, None)
+            (None, CacheOutcome::Miss)
         } else {
-            let probe = self
-                .lock(&self.planes, CacheLayer::Planes)
-                .get_cloned(&pkey);
-            match probe {
-                Some(p) => (Some(p), CacheOutcome::Hit, None),
-                None => {
-                    // Approximate planes are never persisted: they are
-                    // keyed to a sample, cheap to rebuild, and a store
-                    // full of throwaway sampled planes would evict the
-                    // exact ones warm starts depend on.
-                    let store_path = match &self.cfg.store_dir {
-                        Some(dir) if !approx => Some(dir.join(crate::store::plane_file_name(
-                            base_fp,
-                            l_eff,
-                            k_max,
-                            self.cfg.pool_factor,
-                        ))),
-                        _ => None,
-                    };
-                    let loaded = store_path.as_ref().and_then(|path| {
-                        self.store_load(StoreFileKind::Plane, path, &mut degradations, |bytes| {
+            let (p, out) = self.planes.get_or_build((plane_fp, l_eff, k_max), || {
+                // Approximate planes are never persisted: they are keyed
+                // to a sample, cheap to rebuild, and a store full of
+                // throwaway sampled planes would evict the exact ones warm
+                // starts depend on.
+                if let Some(dir) = self.cfg.store_dir.as_ref().filter(|_| !approx) {
+                    let path = dir.join(crate::store::plane_file_name(
+                        base_fp,
+                        l_eff,
+                        k_max,
+                        self.cfg.pool_factor,
+                    ));
+                    let loaded =
+                        self.store_load(StoreFileKind::Plane, &path, &mut degradations, |bytes| {
                             self.decode_plane(bytes, &base, base_fp, l_eff, k_max)
-                        })
-                    });
-                    let (p, store_out) = match loaded {
-                        Some(p) => (Arc::new(p), Some(CacheOutcome::Hit)),
-                        None => {
-                            let built: Arc<Precomputed<'static>> = Arc::new(Precomputed::build(
-                                Arc::clone(&base),
-                                l_eff,
-                                PrecomputeConfig {
-                                    k_min: 1,
-                                    k_max,
-                                    d_min: 0,
-                                    d_max: m,
-                                    pool_factor: self.cfg.pool_factor,
-                                    // Approximate planes score every
-                                    // marginal with a fresh fused scan;
-                                    // byte-identity paths keep the
-                                    // delta evaluator.
-                                    eval: if approx {
-                                        EvalMode::Relaxed
-                                    } else {
-                                        EvalMode::Delta
-                                    },
-                                    parallel: self.cfg.parallel_planes,
-                                    ..Default::default()
-                                },
-                            )?);
-                            (built, store_path.as_ref().map(|_| CacheOutcome::Miss))
-                        }
-                    };
-                    // Publish to the memory cache *before* the disk
-                    // write-back: concurrent sessions racing the same key
-                    // stop duplicating the cold build as soon as the plane
-                    // exists, and the serialize + write cost never sits
-                    // between them and a hit.
-                    self.lock(&self.planes, CacheLayer::Planes)
-                        .insert(pkey, Arc::clone(&p));
-                    if let (Some(CacheOutcome::Miss), Some(path)) = (store_out, &store_path) {
-                        // A freshly built plane set always serializes.
-                        if let Ok(image) = crate::store::to_bytes(&p) {
-                            self.store_write_back(
-                                StoreFileKind::Plane,
-                                path,
-                                &image,
-                                &mut degradations,
-                            );
-                        }
+                        });
+                    if let Some(p) = loaded {
+                        store_out = Some(CacheOutcome::Hit);
+                        return Ok(Arc::new(p));
                     }
-                    (Some(p), CacheOutcome::Miss, store_out)
+                    store_out = Some(CacheOutcome::Miss);
+                    write_back = Some(path);
+                }
+                let cfg = PrecomputeConfig {
+                    k_min: 1,
+                    k_max,
+                    d_min: 0,
+                    d_max: m,
+                    pool_factor: self.cfg.pool_factor,
+                    parallel: self.cfg.parallel_planes,
+                    ..Default::default()
+                };
+                Ok(Arc::new(Precomputed::build(Arc::clone(&base), l_eff, cfg)?))
+            })?;
+            // Published to the memory cache (by `get_or_build`) *before*
+            // the disk write-back: concurrent sessions racing the same key
+            // stop duplicating the cold build as soon as the plane exists,
+            // and the serialize + write cost never sits between them and a
+            // hit.
+            if let Some(path) = write_back {
+                // A freshly built plane set always serializes.
+                if let Ok(image) = crate::store::to_bytes(&p) {
+                    self.store_write_back(StoreFileKind::Plane, &path, &image, &mut degradations);
                 }
             }
+            (Some(p), out)
         };
 
         // The guidance plot: the full plane serves the complete (k, D)
@@ -1377,20 +1250,9 @@ impl Explorer {
                 let sub = Arc::new(drill_relation(&base, p)?);
                 let sub_fp = sub.fingerprint();
                 let l_sub = state.l.min(sub.len());
-                let skey = (sub_fp, l_sub);
-                let probe = self
-                    .lock(&self.summarizers, CacheLayer::Summarizers)
-                    .get_cloned(&skey);
-                let (summarizer, s_out) = match probe {
-                    Some(s) => (s, CacheOutcome::Hit),
-                    None => {
-                        let s: Arc<Summarizer<'static>> =
-                            Arc::new(Summarizer::new(Arc::clone(&sub), l_sub)?);
-                        self.lock(&self.summarizers, CacheLayer::Summarizers)
-                            .insert(skey, Arc::clone(&s));
-                        (s, CacheOutcome::Miss)
-                    }
-                };
+                let (summarizer, s_out) = self.summarizers.get_or_build((sub_fp, l_sub), || {
+                    Ok(Arc::new(Summarizer::new(Arc::clone(&sub), l_sub)?))
+                })?;
                 let solution = summarizer.hybrid(state.k, d_eff.min(sub.arity()))?;
                 (sub, sub_fp, l_sub, solution, Some(s_out))
             }
@@ -1407,30 +1269,7 @@ impl Explorer {
         // Surface poison recoveries that happened under this command's
         // lock acquisitions (comparing cumulative counters keeps the fast
         // path allocation-free).
-        let poison_after = self.poison.snapshot();
-        for (layer, before, after) in [
-            (
-                CacheLayer::GroupPhase,
-                poison_before.group_phase,
-                poison_after.group_phase,
-            ),
-            (
-                CacheLayer::Answers,
-                poison_before.answers,
-                poison_after.answers,
-            ),
-            (
-                CacheLayer::Planes,
-                poison_before.planes,
-                poison_after.planes,
-            ),
-            (
-                CacheLayer::Summarizers,
-                poison_before.summarizers,
-                poison_after.summarizers,
-            ),
-            (CacheLayer::Store, poison_before.store, poison_after.store),
-        ] {
+        for ((layer, before), (_, after)) in poison_before.into_iter().zip(self.poison_counts()) {
             if after > before {
                 degradations.push(Degradation::PoisonRecovered { layer });
             }
@@ -1823,34 +1662,55 @@ impl ExploreSession {
     }
 
     /// The shared back half of every non-`AwaitExact` command: compute
-    /// the view, render the transition, commit the state, and (in
-    /// approximate mode) kick off the background refinement worker.
+    /// the view, (in approximate mode) kick off the background refinement
+    /// worker, and commit.
     fn finish(&mut self, next: ExploreState) -> Result<ExploreResponse> {
         let (view, provenance) = self.engine.view_internal(&next, self.budget_bytes)?;
-        self.retained_bytes = view.retained_bytes;
-        let transition = match &self.last {
-            Some(last) if last.relation_fp == view.relation_fp => Some(Transition::between(
-                &view.relation,
-                &last.solution,
-                &view.solution,
-                view.l_eff,
-            )),
-            _ => None,
+        self.maybe_spawn_refine(&next, view.relation_fp);
+        Ok(self.commit(next, view, provenance, None))
+    }
+
+    /// The one way a response is made: commit `view` as the session's
+    /// current state and view, and render the transition. A promotion
+    /// passes `refined_from`, the approximate solution translated onto the
+    /// exact relation, and is reported [`Fidelity::Refined`]; otherwise the
+    /// transition diffs the previous view when it summarized the same
+    /// relation.
+    fn commit(
+        &mut self,
+        state: ExploreState,
+        view: EngineView,
+        mut provenance: CacheProvenance,
+        refined_from: Option<Solution>,
+    ) -> ExploreResponse {
+        let fidelity = if refined_from.is_some() {
+            provenance.fidelity = Fidelity::Refined;
+            Fidelity::Refined
+        } else {
+            view.fidelity
         };
-        self.state = Some(next.clone());
+        let previous = self
+            .last
+            .take()
+            .filter(|last| last.relation_fp == view.relation_fp)
+            .map(|last| last.solution);
+        let transition = refined_from
+            .or(previous)
+            .map(|from| Transition::between(&view.relation, &from, &view.solution, view.l_eff));
+        self.retained_bytes = view.retained_bytes;
+        self.state = Some(state.clone());
         self.last = Some(LastView {
             relation_fp: view.relation_fp,
             solution: view.solution,
         });
-        self.maybe_spawn_refine(&next, view.relation_fp);
-        Ok(ExploreResponse {
-            state: next,
+        ExploreResponse {
+            state,
             summary: view.summary,
             plot: view.plot,
             transition,
-            fidelity: view.fidelity,
+            fidelity,
             provenance,
-        })
+        }
     }
 
     /// After an approximate view: start (or keep) a background worker
@@ -1920,87 +1780,37 @@ impl ExploreSession {
         // The approximate view this promotion starts from — cache-warm
         // (it produced the session's current summary) and needed both for
         // the refined diff and as the fallback if refinement fails.
-        let (approx_view, _) = self.engine.view_internal(&s, self.budget_bytes)?;
+        let (approx_view, approx_provenance) = self.engine.view_internal(&s, self.budget_bytes)?;
         let exact_state = ExploreState {
             fidelity: FidelityMode::Exact,
             ..s.clone()
         };
-        match self.engine.view_internal(&exact_state, self.budget_bytes) {
-            Ok((view, mut provenance)) => {
-                if let Some(reason) = worker_failure {
-                    // The background attempt failed but the inline one
-                    // succeeded: the promotion stands, the hiccup is
-                    // still visible in provenance.
-                    provenance
-                        .degradations
-                        .push(Degradation::RefinementFailed { reason });
+        let (state, view, mut provenance, refined_from, failure) =
+            match self.engine.view_internal(&exact_state, self.budget_bytes) {
+                Ok((view, provenance)) => {
+                    let from = translate_solution(
+                        &approx_view.relation,
+                        &view.relation,
+                        &approx_view.solution,
+                    );
+                    (exact_state, view, provenance, Some(from), None)
                 }
-                provenance.fidelity = Fidelity::Refined;
-                let translated = translate_solution(
-                    &approx_view.relation,
-                    &view.relation,
-                    &approx_view.solution,
-                );
-                let transition = Some(Transition::between(
-                    &view.relation,
-                    &translated,
-                    &view.solution,
-                    view.l_eff,
-                ));
-                self.retained_bytes = view.retained_bytes;
-                self.state = Some(exact_state.clone());
-                self.last = Some(LastView {
-                    relation_fp: view.relation_fp,
-                    solution: view.solution,
-                });
-                Ok(ExploreResponse {
-                    state: exact_state,
-                    summary: view.summary,
-                    plot: view.plot,
-                    transition,
-                    fidelity: Fidelity::Refined,
-                    provenance,
-                })
-            }
-            Err(err) => {
-                // Refinement failed: keep serving the approximate view
-                // with its error bounds — never a wrong-exact. The state
-                // stays approximate so a later AwaitExact can retry.
-                let (view, mut provenance) = self.engine.view_internal(&s, self.budget_bytes)?;
-                if let Some(reason) = worker_failure {
-                    provenance
-                        .degradations
-                        .push(Degradation::RefinementFailed { reason });
-                }
-                provenance.degradations.push(Degradation::RefinementFailed {
-                    reason: err.to_string(),
-                });
-                let transition = match &self.last {
-                    Some(last) if last.relation_fp == view.relation_fp => {
-                        Some(Transition::between(
-                            &view.relation,
-                            &last.solution,
-                            &view.solution,
-                            view.l_eff,
-                        ))
-                    }
-                    _ => None,
-                };
-                self.retained_bytes = view.retained_bytes;
-                self.last = Some(LastView {
-                    relation_fp: view.relation_fp,
-                    solution: view.solution,
-                });
-                Ok(ExploreResponse {
-                    state: s,
-                    summary: view.summary,
-                    plot: view.plot,
-                    transition,
-                    fidelity: view.fidelity,
-                    provenance,
-                })
-            }
+                // Refinement failed: keep serving the approximate view with
+                // its error bounds — never a wrong-exact. The state stays
+                // approximate so a later AwaitExact can retry.
+                Err(err) => (s, approx_view, approx_provenance, None, Some(err)),
+            };
+        // A background failure is visible even when the inline attempt
+        // succeeded and the promotion stands.
+        for reason in worker_failure
+            .into_iter()
+            .chain(failure.map(|e| e.to_string()))
+        {
+            provenance
+                .degradations
+                .push(Degradation::RefinementFailed { reason });
         }
+        Ok(self.commit(state, view, provenance, refined_from))
     }
 }
 
@@ -2161,24 +1971,6 @@ mod tests {
         .unwrap();
         let err = s.apply(ExploreCommand::SetThreshold(1.0)).unwrap_err();
         assert!(err.to_string().contains("HAVING"), "{err}");
-    }
-
-    #[test]
-    fn view_is_stateless_and_deterministic() {
-        let engine = Explorer::new(catalog());
-        let state = ExploreState {
-            sql: SQL.into(),
-            k: 3,
-            l: 5,
-            d: 1,
-            threshold: Some(0.0),
-            drill: None,
-            fidelity: FidelityMode::Exact,
-        };
-        let (summary_a, plot_a) = engine.view(&state).unwrap();
-        let (summary_b, plot_b) = engine.view(&state).unwrap();
-        assert_eq!(summary_a, summary_b);
-        assert_eq!(plot_a, plot_b);
     }
 
     #[test]
@@ -2374,37 +2166,160 @@ mod tests {
         assert!(recovered.provenance.degradations.is_empty());
     }
 
-    #[test]
-    fn poisoned_plane_layer_recovers_by_clearing() {
-        let engine = Arc::new(Explorer::new(catalog()));
-        let mut s = ExploreSession::new(Arc::clone(&engine));
-        s.apply(ExploreCommand::SetQuery(SQL.into())).unwrap();
-        assert_eq!(engine.stats().planes.entries, 1);
-
-        // Panic while holding the plane lock: the guard drops during the
-        // unwind and poisons the mutex.
-        let poison = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = engine.planes.lock().unwrap();
-            panic!("simulated panic while holding the plane layer lock");
+    /// Poison `mutex` the way a session panicking while it holds the
+    /// lock would: the guard drops during the unwind.
+    fn poison<T>(mutex: &Mutex<T>) {
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _guard = mutex.lock().unwrap();
+            panic!("simulated panic while holding a layer lock");
         }));
-        assert!(poison.is_err());
+        assert!(panicked.is_err());
+    }
 
-        // The next command recovers: the layer is cleared (cold plane
-        // rebuild), the event is counted and surfaced, and no panic
-        // propagates to this session.
+    /// Open the `(adventure, *)` drill of [`SQL`].
+    fn drill_adventure(s: &mut ExploreSession) {
+        s.apply(ExploreCommand::SetQuery(SQL.into())).unwrap();
         let r = s.apply(ExploreCommand::SetK(3)).unwrap();
-        assert_eq!(r.provenance.plane, CacheOutcome::Miss);
-        assert!(r
-            .provenance
-            .degradations
-            .contains(&Degradation::PoisonRecovered {
-                layer: CacheLayer::Planes
-            }));
-        assert_eq!(engine.stats().poison.planes, 1);
-        assert_eq!(engine.stats().poison.total(), 1);
-        // And the layer is functional again: a further tick is a hit.
-        let r = s.apply(ExploreCommand::SetK(2)).unwrap();
-        assert_eq!(r.provenance.plane, CacheOutcome::Hit);
+        let adventure = r
+            .summary
+            .clusters
+            .iter()
+            .find(|c| c.label == "(adventure, *)")
+            .expect("an (adventure, *) cluster")
+            .pattern
+            .clone();
+        s.apply(ExploreCommand::DrillDown(adventure)).unwrap();
+    }
+
+    #[test]
+    fn poisoned_layers_recover_by_clearing() {
+        struct Case {
+            layer: CacheLayer,
+            recoveries: fn(&PoisonStats) -> u64,
+            /// The layer's outcome in a command's provenance.
+            outcome: fn(&CacheProvenance) -> Option<CacheOutcome>,
+            /// Engines of this case get a store directory and a
+            /// one-entry plane cache, so a knob move probes the store.
+            store: bool,
+            setup: fn(&mut ExploreSession),
+            poison: fn(&Explorer),
+            /// The command that meets the poisoned lock, and a later one
+            /// that must hit the rebuilt layer.
+            next: ExploreCommand,
+            then: ExploreCommand,
+        }
+        let query = |s: &mut ExploreSession| {
+            s.apply(ExploreCommand::SetQuery(SQL.into())).unwrap();
+        };
+        let cases = [
+            Case {
+                layer: CacheLayer::GroupPhase,
+                recoveries: |p| p.group_phase,
+                outcome: |p| Some(p.group_phase),
+                store: false,
+                setup: query,
+                poison: |e| poison(e.groups.mutex()),
+                next: ExploreCommand::SetK(3),
+                then: ExploreCommand::SetK(2),
+            },
+            Case {
+                layer: CacheLayer::Answers,
+                recoveries: |p| p.answers,
+                outcome: |p| Some(p.answers),
+                store: false,
+                setup: query,
+                poison: |e| poison(e.answers.mutex()),
+                next: ExploreCommand::SetK(3),
+                then: ExploreCommand::SetK(2),
+            },
+            Case {
+                layer: CacheLayer::Planes,
+                recoveries: |p| p.planes,
+                outcome: |p| Some(p.plane),
+                store: false,
+                setup: query,
+                poison: |e| poison(e.planes.mutex()),
+                next: ExploreCommand::SetK(3),
+                then: ExploreCommand::SetK(2),
+            },
+            Case {
+                layer: CacheLayer::Summarizers,
+                recoveries: |p| p.summarizers,
+                outcome: |p| p.summarizer,
+                store: false,
+                setup: drill_adventure,
+                poison: |e| poison(e.summarizers.mutex()),
+                next: ExploreCommand::SetK(2),
+                then: ExploreCommand::SetK(3),
+            },
+            // The store block keeps its counters across a recovery; its
+            // "cold rebuild" is the plane the next knob move probes for,
+            // misses and writes back, and the later hit a load of it.
+            Case {
+                layer: CacheLayer::Store,
+                recoveries: |p| p.store,
+                outcome: |p| p.plane_store,
+                store: true,
+                setup: query,
+                poison: |e| poison(&e.store_stats),
+                next: ExploreCommand::SetL(3),
+                then: ExploreCommand::SetL(DEFAULT_L),
+            },
+        ];
+        for (i, case) in cases.iter().enumerate() {
+            let name = format!("{:?}", case.layer);
+            let open = |run: &str| {
+                let mut cfg = ExplorerConfig::default();
+                if case.store {
+                    let dir = std::env::temp_dir().join(format!(
+                        "qag-explorer-poison-{}-{i}-{run}",
+                        std::process::id()
+                    ));
+                    let _ = std::fs::remove_dir_all(&dir);
+                    std::fs::create_dir_all(&dir).unwrap();
+                    cfg.store_dir = Some(dir);
+                    cfg.plane_cache_entries = 1;
+                }
+                let engine = Arc::new(Explorer::with_config(catalog(), cfg));
+                let mut s = ExploreSession::new(Arc::clone(&engine));
+                (case.setup)(&mut s);
+                (engine, s)
+            };
+            let (_, mut clean) = open("clean");
+            let (engine, mut s) = open("poisoned");
+            (case.poison)(&engine);
+
+            let r = s.apply(case.next.clone()).unwrap();
+            assert!(
+                r.provenance
+                    .degradations
+                    .contains(&Degradation::PoisonRecovered { layer: case.layer }),
+                "{name}: {:?}",
+                r.provenance.degradations
+            );
+            let poisoned = engine.stats().poison;
+            assert_eq!((case.recoveries)(&poisoned), 1, "{name}");
+            assert_eq!(poisoned.total(), 1, "{name}");
+            assert_eq!(
+                (case.outcome)(&r.provenance),
+                Some(CacheOutcome::Miss),
+                "{name}: the recovered layer rebuilds cold"
+            );
+            let expected = clean.apply(case.next.clone()).unwrap();
+            assert!(r.same_view(&expected), "{name}: view changed");
+
+            let r = s.apply(case.then.clone()).unwrap();
+            assert_eq!(
+                (case.outcome)(&r.provenance),
+                Some(CacheOutcome::Hit),
+                "{name}: the layer serves again"
+            );
+            for e in [&engine, clean.engine()] {
+                if let Some(dir) = &e.config().store_dir {
+                    std::fs::remove_dir_all(dir).unwrap();
+                }
+            }
+        }
     }
 
     #[test]
@@ -2900,15 +2815,32 @@ mod tests {
                 budget_bytes: Some(Some(1_500)),
             })
             .unwrap();
-        let approx_total = s.apply(ExploreCommand::SetK(2)).unwrap().summary.total;
+        let approx = s.apply(ExploreCommand::SetK(2)).unwrap();
         let r = s.apply(ExploreCommand::AwaitExact).unwrap();
         assert!(
             matches!(r.fidelity, Fidelity::Approximate { .. }),
             "failed refinement must stay approximate, got {:?}",
             r.fidelity
         );
-        assert_eq!(r.state.fidelity, FidelityMode::Approximate);
-        assert_eq!(r.summary.total, approx_total);
+        assert_eq!(r.state, approx.state);
+        assert_eq!(r.summary, approx.summary);
+        assert_eq!(r.plot, approx.plot);
+        // The refused promotion re-serves the same approximate view, so
+        // the band diagram is the self-transition of that summary.
+        let t = r.transition.as_ref().expect("same relation => transition");
+        let labels: Vec<&str> = approx
+            .summary
+            .clusters
+            .iter()
+            .map(|c| c.label.as_str())
+            .collect();
+        assert_eq!(t.left_labels, labels);
+        assert_eq!(t.right_labels, labels);
+        assert_eq!(t.left_sizes, t.right_sizes);
+        assert_eq!(t.left_top, t.right_top);
+        for (i, &size) in t.left_sizes.iter().enumerate() {
+            assert_eq!(t.overlaps[i][i], size, "cluster {i} maps onto itself");
+        }
         assert!(
             r.provenance
                 .degradations

@@ -28,10 +28,11 @@
 //! base relation.
 //!
 //! All of it comes together in [`explore::Explorer`]: an owned,
-//! `Send + Sync` engine that stacks the three cache layers (group phases,
-//! answer relations, parameter planes + summarizers) behind typed
-//! fingerprint keys with LRU bounds ([`cache::LruCache`]), and
-//! [`explore::ExploreSession`], the command-driven state machine of the
+//! `Send + Sync` engine that stacks its cache layers (group phases,
+//! answer relations, parameter planes, drill summarizers) behind typed
+//! fingerprint keys. Every layer is the same crate-private LRU type with
+//! its own lock and its own poison recovery, reporting [`LayerStats`];
+//! and [`explore::ExploreSession`], the command-driven state machine of the
 //! full interactive loop — every command answers with a refreshed
 //! summary, the Fig. 2 guidance plot, an App. A.7 transition, and cache
 //! provenance.
@@ -39,7 +40,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cache;
+mod cache;
 pub mod checkpoint;
 pub mod explore;
 pub mod interval_tree;
@@ -47,7 +48,7 @@ pub mod plot;
 pub mod precompute;
 pub mod store;
 
-pub use cache::{LayerStats, LruCache};
+pub use cache::LayerStats;
 pub use checkpoint::{checkpoint_file_name, SessionCheckpoint};
 pub use explore::{
     CacheLayer, CacheOutcome, CacheProvenance, ClusterView, Degradation, ExploreCommand,

@@ -146,9 +146,6 @@ fn eval_code(eval: EvalMode) -> u8 {
     match eval {
         EvalMode::Naive => 0,
         EvalMode::Delta => 1,
-        // Never written in practice — approximate planes skip the store —
-        // but the mapping must stay total.
-        EvalMode::Relaxed => 2,
     }
 }
 
@@ -156,7 +153,6 @@ fn eval_from(code: u8) -> Result<EvalMode> {
     match code {
         0 => Ok(EvalMode::Naive),
         1 => Ok(EvalMode::Delta),
-        2 => Ok(EvalMode::Relaxed),
         other => Err(QagError::store(
             StoreErrorKind::Corrupt,
             format!("unknown eval-mode code {other}"),
@@ -1087,6 +1083,29 @@ mod tests {
                 .store_kind(),
             Some(StoreErrorKind::UnsupportedVersion)
         );
+    }
+
+    #[test]
+    fn retired_and_unknown_eval_codes_are_corrupt() {
+        let (_, pre) = built();
+        let bytes = to_bytes(&pre).unwrap();
+        // The eval-mode byte follows the fingerprint and n (u64 each), m
+        // and L (u32 each) and the five u32 config fields before it.
+        let eval_at = HEADER_BYTES + 8 + 8 + 4 + 4 + 5 * 4;
+        assert_eq!(bytes[eval_at], eval_code(pre.config().eval));
+        // Code 2 was the approximate-plane mode, which no build writes
+        // any more; it decodes like any other unknown code.
+        for code in [2u8, 3, 0xff] {
+            let mut bad = bytes.clone();
+            bad[eval_at] = code;
+            let sum = checksum64(&bad[HEADER_BYTES..]);
+            bad[12..20].copy_from_slice(&sum.to_le_bytes());
+            assert_eq!(
+                StoreReader::from_bytes(bad).unwrap_err().store_kind(),
+                Some(StoreErrorKind::Corrupt),
+                "eval code {code}"
+            );
+        }
     }
 
     #[test]
